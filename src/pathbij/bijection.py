@@ -15,11 +15,15 @@ each indecomposable component independently:
   peaks except the one created at the block boundary, and re-attach the outer
   steps -- giving a component with exactly one peak.
 
-Every stage has an explicit inverse, exposed alongside it, and the whole
-pipeline can be traced stage by stage.  The inverse stages check that their
-input lies in the forward stage's image and raise ``InverseDomainError``
-otherwise; for genuine class members those checks never fire, which is
-exactly the reversibility claim the test suite verifies exhaustively.
+Each stage is a private kernel on step strings, paired with its inverse in
+one table; ``_run`` runs the table forwards, backwards, and with stage
+recording for the trace.  ``phi``, ``phi_inverse`` and ``trace_stages``
+check class membership once, so the kernels re-check nothing it implies; the
+public stage functions check their own domain, then call the same kernels.
+The inverse kernels check that their input lies in the forward stage's image
+and raise ``InverseDomainError`` otherwise; for genuine class members those
+checks never fire, which is exactly the reversibility claim the test suite
+verifies exhaustively.
 """
 
 from __future__ import annotations
@@ -30,18 +34,20 @@ from typing import Iterable, Literal, NamedTuple
 from .paths import (
     DOWN,
     FLAT,
+    MIRROR,
     UP,
     MarkedPath,
     Path,
     PathbijError,
-    components,
-    concat,
     in_class_a,
     in_class_b,
     is_indecomposable,
     peak_apexes,
-    reflect,
+    split_components,
+    step_heights,
 )
+
+_PEAK = UP + DOWN
 
 
 class UnknownApex(PathbijError):
@@ -68,30 +74,28 @@ class NotInClass(PathbijError):
     """The path does not belong to the family the map is defined on."""
 
 
+def _flatten(s: str, keep: Iterable[int] = ()) -> str:
+    """Flatten every peak of the step word ``s`` whose apex is not in ``keep``."""
+    out, start = [], 0
+    for a in sorted(keep):
+        out += (s[start : a - 1].replace(_PEAK, FLAT), _PEAK)
+        start = a + 1
+    out.append(s[start:].replace(_PEAK, FLAT))
+    return "".join(out)
+
+
 def flatten_peaks(p: Path, keep: Iterable[int] = ()) -> Path:
     """Replace every peak whose apex is not in ``keep`` by a flatstep at the base height."""
-    apexes = set(peak_apexes(p))
     kept = set(keep)
-    stray = kept - apexes
+    stray = kept - set(peak_apexes(p))
     if stray:
         raise UnknownApex(f"vertices {sorted(stray)} are not peak apexes")
-    drop = apexes - kept
-    s = p.steps
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        if i + 1 in drop:  # steps i, i+1 are the U,D of a flattened peak
-            out.append(FLAT)
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return Path("".join(out))
+    return Path(_flatten(p.steps, kept))
 
 
 def unflatten_flats(p: Path) -> Path:
     """Replace every flatstep by an up-down peak at the same base height."""
-    return Path(p.steps.replace(FLAT, UP + DOWN))
+    return Path(p.steps.replace(FLAT, _PEAK))
 
 
 def map_indecomposable_below(p: Path) -> Path:
@@ -104,7 +108,18 @@ def map_indecomposable_below(p: Path) -> Path:
         raise PreconditionViolated(
             "expected a flat-free indecomposable component lying below ground"
         )
-    return flatten_peaks(reflect(p))
+    return Path(_run(p.steps, inverse=False))
+
+
+# Stage kernels map (steps, annotations) to the next pair; the annotations
+# are ``Stage`` keyword fields, printed by the trace and read by the next stage.
+
+
+def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
+    # The k-th flatstep's valley starts k steps later than the flatstep did.
+    flats = [i for i, c in enumerate(s) if c == FLAT]
+    marks = frozenset(i + k + 1 for k, i in enumerate(flats))
+    return s.replace(FLAT, DOWN + UP), {"marks": marks}
 
 
 def expand_flats(p: Path) -> MarkedPath:
@@ -116,36 +131,36 @@ def expand_flats(p: Path) -> MarkedPath:
     hs = p.heights
     if hs[-1] != 0 or min(hs) < 0:
         raise PreconditionViolated("expected a Schroeder path")
-    out: list[str] = []
-    marks = set()
     for i, c in enumerate(p.steps):
-        if c == FLAT:
-            if hs[i] != 1:
-                raise FlatNotAtHeightOne(f"flatstep before vertex {i} sits at height {hs[i]}")
-            out.append(DOWN)
-            marks.add(len(out))  # the vertex between the new down-up pair
-            out.append(UP)
-        else:
-            out.append(c)
-    return MarkedPath(Path("".join(out)), frozenset(marks))
+        if c == FLAT and hs[i] != 1:
+            raise FlatNotAtHeightOne(f"flatstep before vertex {i} sits at height {hs[i]}")
+    steps, ann = _expand_flats(p.steps, {})
+    return MarkedPath(Path(steps), ann["marks"])
+
+
+def _contract_marks(s: str, ann: dict) -> tuple[str, dict]:
+    out, start = [], 0
+    for m in sorted(ann["marks"]):
+        if s[m - 1 : m + 1] != DOWN + UP:
+            raise MarkNotContractible(f"vertex {m} is not between a downstep and an upstep")
+        out += (s[start : m - 1], FLAT)
+        start = m + 1
+    out.append(s[start:])
+    return "".join(out), {}
 
 
 def contract_marks(mp: MarkedPath) -> Path:
     """Inverse of expand_flats: each marked down-up valley becomes one flatstep."""
-    s = mp.path.steps
-    for m in mp.marks:
-        if s[m - 1] != DOWN or s[m] != UP:
-            raise MarkNotContractible(f"vertex {m} is not between a downstep and an upstep")
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        if i + 1 in mp.marks:
-            out.append(FLAT)
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return Path("".join(out))
+    return Path(_contract_marks(mp.path.steps, {"marks": mp.marks})[0])
+
+
+def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
+    g = "".join(
+        part.translate(MIRROR) if start == 0 or start in ann["marks"] else part
+        for start, part in split_components(s, step_heights(s))
+    )
+    v1, v2 = _landmarks(g)
+    return g, {"v1": v1, "v2": v2}
 
 
 def flip_marked(mp: MarkedPath) -> Path:
@@ -157,35 +172,41 @@ def flip_marked(mp: MarkedPath) -> Path:
     p = mp.path
     if not p.steps or FLAT in p.steps or p.min_height < 0 or p.end_height != 0:
         raise PreconditionViolated("expected a nonempty Dyck path")
-    flipped = [
-        reflect(c.path) if i == 0 or c.start in mp.marks else c.path
-        for i, c in enumerate(components(p).parts)
-    ]
-    return concat(flipped)
+    return Path(_flip_marked(p.steps, {"marks": mp.marks})[0])
+
+
+def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
+    hs = step_heights(g)
+    if not g or FLAT in g or hs[-1] != 0:
+        raise InverseDomainError("expected a nonempty grand Dyck path")
+    if g[0] != DOWN:
+        raise InverseDomainError("first component must lie below ground")
+    out, marks = [], set()
+    for start, part in split_components(g, hs):
+        if part[0] == DOWN:
+            out.append(part.translate(MIRROR))
+            if start:
+                marks.add(start)
+        else:
+            out.append(part)
+    return "".join(out), {"marks": frozenset(marks)}
 
 
 def recover_marks(g: Path) -> MarkedPath:
     """Inverse of flip_marked: mirror the below components, marking where the later ones start."""
-    if not g.steps or FLAT in g.steps or g.end_height != 0:
-        raise InverseDomainError("expected a nonempty grand Dyck path")
-    view = components(g)
-    if view.parts[0].path.steps[0] != DOWN:
-        raise InverseDomainError("first component must lie below ground")
-    out: list[Path] = []
-    marks = set()
-    for i, c in enumerate(view.parts):
-        if c.path.steps[0] == DOWN:
-            out.append(reflect(c.path))
-            if i > 0:
-                marks.add(c.start)
-        else:
-            out.append(c.path)
-    return MarkedPath(concat(out), frozenset(marks))
+    steps, ann = _recover_marks(g.steps, {})
+    return MarkedPath(Path(steps), ann["marks"])
 
 
 class Landmarks(NamedTuple):
     v1: int
     v2: int
+
+
+def _landmarks(g: str) -> tuple[int, int]:
+    hs = step_heights(g)
+    v2 = next(v for v in range(len(g), 0, -1) if hs[v] == 0 and g[v - 1] == UP)
+    return hs.index(min(hs)), v2
 
 
 def landmarks(g: Path) -> Landmarks:
@@ -194,19 +215,21 @@ def landmarks(g: Path) -> Landmarks:
     Defined on nonempty grand Dyck paths whose first component lies below
     ground; then 0 < v1 < v2 always holds.
     """
-    hs = g.heights
-    if not g.steps or FLAT in g.steps or hs[-1] != 0 or g.steps[0] != DOWN:
+    if not g.steps or FLAT in g.steps or g.end_height != 0 or g.steps[0] != DOWN:
         raise PreconditionViolated(
             "expected a grand Dyck path whose first component lies below ground"
         )
-    v1 = hs.index(min(hs))
-    v2 = max(v for v in range(1, len(hs)) if hs[v] == 0 and g.steps[v - 1] == UP)
-    return Landmarks(v1, v2)
+    return Landmarks(*_landmarks(g.steps))
 
 
 class Interchanged(NamedTuple):
     path: Path
     w: int
+
+
+def _interchange(g: str, ann: dict) -> tuple[str, dict]:
+    v1, v2 = ann["v1"], ann["v2"]
+    return g[v1:v2] + g[:v1] + g[v2:], {"w": v2 - v1}
 
 
 def interchange(g: Path, v1: int, v2: int) -> Interchanged:
@@ -217,20 +240,71 @@ def interchange(g: Path, v1: int, v2: int) -> Interchanged:
     """
     if landmarks(g) != (v1, v2):
         raise PreconditionViolated(f"({v1}, {v2}) are not the landmark vertices")
-    s = g.steps
-    return Interchanged(Path(s[v1:v2] + s[:v1] + s[v2:]), v2 - v1)
+    steps, ann = _interchange(g.steps, {"v1": v1, "v2": v2})
+    return Interchanged(Path(steps), ann["w"])
+
+
+def _reverse_interchange(d: str, ann: dict) -> tuple[str, dict]:
+    w = ann["w"]
+    hs = step_heights(d)
+    if FLAT in d or hs[-1] != 0 or min(hs) < 0:
+        raise InverseDomainError("expected a Dyck path")
+    if not 1 <= w < len(d) or d[w - 1] != UP or d[w] != DOWN:
+        raise InverseDomainError(f"vertex {w} is not a peak apex")
+    z = hs.index(0, w + 1)
+    return d[w:z] + d[:w] + d[z:], {}
 
 
 def reverse_interchange(d: Path, w: int) -> Path:
     """Inverse of interchange: split after w at the next ground return and rotate back."""
-    hs = d.heights
-    if FLAT in d.steps or hs[-1] != 0 or min(hs) < 0:
-        raise InverseDomainError("expected a Dyck path")
-    if not 1 <= w < len(hs) - 1 or d.steps[w - 1] != UP or d.steps[w] != DOWN:
-        raise InverseDomainError(f"vertex {w} is not a peak apex")
-    z = next(v for v in range(w + 1, len(hs)) if hs[v] == 0)
-    s = d.steps
-    return Path(s[w:z] + s[:w] + s[z:])
+    return Path(_reverse_interchange(d.steps, {"w": w})[0])
+
+
+def _flatten_peaks(d: str, ann: dict) -> tuple[str, dict]:
+    return _flatten(d, (ann["w"],)), {}
+
+
+def _unflatten_flats(f: str, _: dict) -> tuple[str, dict]:
+    j = f.index(_PEAK)  # the U of the one peak _flatten_peaks kept
+    return f.replace(FLAT, _PEAK), {"w": j + 1 + f.count(FLAT, 0, j)}
+
+
+# The above-ground pipeline between strip-ends and output, in forward order:
+# (forward label, forward kernel, inverse label, inverse kernel).
+_ABOVE_STAGES = (
+    ("expand-flats", _expand_flats, "contract-marks", _contract_marks),
+    ("flip-components", _flip_marked, "recover-marks", _recover_marks),
+    ("interchange", _interchange, "reverse-interchange", _reverse_interchange),
+    ("flatten-peaks", _flatten_peaks, "unflatten-flats", _unflatten_flats),
+)
+
+
+def _run(steps: str, inverse: bool, stages: list[Stage] | None = None) -> str:
+    """Map one component of a class member; record each value in ``stages`` if given.
+
+    The table's kernels see the component without its outer steps, which is
+    the empty word for size 1.
+    """
+    if stages is not None:
+        stages.append(Stage("input", Path(steps)))
+    if not inverse and steps[0] == DOWN:  # below ground: mirror, flatten every peak
+        out = _flatten(steps.translate(MIRROR))
+    elif inverse and _PEAK not in steps:  # peak-free: undo the below-ground move
+        out = steps.replace(FLAT, _PEAK).translate(MIRROR)
+    else:
+        inner, ann = steps[1:-1], {}
+        if stages is not None:
+            stages.append(Stage("strip-ends", Path(inner)))
+        for row in reversed(_ABOVE_STAGES) if inverse else _ABOVE_STAGES:
+            label, kernel = row[2:] if inverse else row[:2]
+            if inner:
+                inner, ann = kernel(inner, ann)
+            if stages is not None:
+                stages.append(Stage(label, Path(inner), **ann))
+        out = UP + inner + DOWN
+    if stages is not None:
+        stages.append(Stage("output", Path(out)))
+    return out
 
 
 Direction = Literal["forward", "inverse"]
@@ -270,34 +344,6 @@ class StageTrace:
         return "\n".join(self.lines())
 
 
-def _above_forward_stages(p: Path) -> list[Stage]:
-    """Stages of the above-ground pipeline; p is assumed a valid above component."""
-    stages = [Stage("input", p)]
-    inner = Path(p.steps[1:-1])
-    stages.append(Stage("strip-ends", inner))
-    if not inner.steps:
-        # Size-1 component: the inner pipeline acts on the empty path.
-        stages += [
-            Stage("expand-flats", inner),
-            Stage("flip-components", inner),
-            Stage("interchange", inner),
-            Stage("flatten-peaks", inner),
-            Stage("output", p),
-        ]
-        return stages
-    marked = expand_flats(inner)
-    stages.append(Stage("expand-flats", marked.path, marks=marked.marks))
-    flipped = flip_marked(marked)
-    v1, v2 = landmarks(flipped)
-    stages.append(Stage("flip-components", flipped, v1=v1, v2=v2))
-    swapped, w = interchange(flipped, v1, v2)
-    stages.append(Stage("interchange", swapped, w=w))
-    flattened = flatten_peaks(swapped, keep={w})
-    stages.append(Stage("flatten-peaks", flattened))
-    stages.append(Stage("output", Path(UP + flattened.steps + DOWN)))
-    return stages
-
-
 def map_indecomposable_above(p: Path) -> Path:
     """Map an all-above component through the pipeline; the image has exactly one peak."""
     hs = p.heights
@@ -305,65 +351,14 @@ def map_indecomposable_above(p: Path) -> Path:
         raise PreconditionViolated(
             "expected an indecomposable flat-line component lying above ground"
         )
-    return _above_forward_stages(p)[-1].path
-
-
-def _above_inverse_stages(q: Path) -> list[Stage]:
-    """Inverse pipeline stages; q is assumed a valid one-peak component."""
-    stages = [Stage("input", q)]
-    inner = Path(q.steps[1:-1])
-    stages.append(Stage("strip-ends", inner))
-    if not inner.steps:
-        stages += [
-            Stage("unflatten-flats", inner),
-            Stage("reverse-interchange", inner),
-            Stage("recover-marks", inner),
-            Stage("contract-marks", inner),
-            Stage("output", q),
-        ]
-        return stages
-    # The unique peak survives stripping (a peak touching the outer steps
-    # would force an interior ground vertex).  Rebuild the step word with
-    # every flatstep expanded, tracking where the kept apex lands.
-    apex = peak_apexes(q)[0]
-    a = apex - 1  # apex in inner indexing
-    out: list[str] = []
-    w = -1
-    for j, c in enumerate(inner.steps):
-        if j == a - 1:
-            w = len(out) + 1
-        if c == FLAT:
-            out.append(UP)
-            out.append(DOWN)
-        else:
-            out.append(c)
-    d = Path("".join(out))
-    stages.append(Stage("unflatten-flats", d, w=w))
-    g = reverse_interchange(d, w)
-    stages.append(Stage("reverse-interchange", g))
-    marked = recover_marks(g)
-    stages.append(Stage("recover-marks", marked.path, marks=marked.marks))
-    contracted = contract_marks(marked)
-    stages.append(Stage("contract-marks", contracted))
-    stages.append(Stage("output", Path(UP + contracted.steps + DOWN)))
-    return stages
+    return Path(_run(p.steps, inverse=False))
 
 
 def unmap_indecomposable(q: Path) -> Path:
     """Inverse map on one component: no peak goes below ground, one peak goes above."""
     if not is_indecomposable(q) or not in_class_b(q):
         raise PreconditionViolated("expected an indecomposable component with at most one peak")
-    if not peak_apexes(q):
-        return reflect(unflatten_flats(q))
-    if q.steps == UP + DOWN:
-        return q
-    return _above_inverse_stages(q)[-1].path
-
-
-def _map_component(c: Path) -> Path:
-    if c.steps[0] == DOWN:
-        return map_indecomposable_below(c)
-    return map_indecomposable_above(c)
+    return Path(_run(q.steps, inverse=True))
 
 
 def phi(p: Path) -> Path:
@@ -374,14 +369,14 @@ def phi(p: Path) -> Path:
     """
     if not in_class_a(p):
         raise NotInClass("input is not a grand Schroeder path with all flatsteps on y=2")
-    return concat(_map_component(c.path) for c in components(p).parts)
+    return Path("".join(_run(s, False) for _, s in split_components(p.steps, p.heights)))
 
 
 def phi_inverse(q: Path) -> Path:
     """Inverse bijection; phi_inverse(phi(p)) == p and phi(phi_inverse(q)) == q."""
     if not in_class_b(q):
         raise NotInClass("input is not a Schroeder path with at most one peak per component")
-    return concat(unmap_indecomposable(c.path) for c in components(q).parts)
+    return Path("".join(_run(s, True) for _, s in split_components(q.steps, q.heights)))
 
 
 def trace_stages(p: Path, direction: Direction = "forward") -> StageTrace:
@@ -393,17 +388,11 @@ def trace_stages(p: Path, direction: Direction = "forward") -> StageTrace:
     if direction == "forward":
         if not in_class_a(p) or not is_indecomposable(p):
             raise NotInClass("forward tracing needs a single indecomposable flat-line component")
-        if p.steps[0] == DOWN:
-            stages = [Stage("input", p), Stage("output", map_indecomposable_below(p))]
-        else:
-            stages = _above_forward_stages(p)
     elif direction == "inverse":
         if not in_class_b(p) or not is_indecomposable(p):
             raise NotInClass("inverse tracing needs a single indecomposable peak-limited component")
-        if not peak_apexes(p):
-            stages = [Stage("input", p), Stage("output", reflect(unflatten_flats(p)))]
-        else:
-            stages = _above_inverse_stages(p)
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
+    stages: list[Stage] = []
+    _run(p.steps, direction == "inverse", stages)
     return StageTrace(direction, tuple(stages))

@@ -44,6 +44,17 @@ from .permutations import count_avoiders, parse_patterns
 DEFAULT_VERIFY_SIZE = 8
 
 
+def _size(text: str) -> int:
+    """argparse type of the size arguments: a negative size is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathbij",
@@ -53,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list all paths of one size, one per line")
     p_enum.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
-    p_enum.add_argument("--size", type=int, required=True)
+    p_enum.add_argument("--size", type=_size, required=True)
     p_enum.add_argument(
         "--flat-line",
         type=int,
@@ -64,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="exact count of paths of one size")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
-    p_count.add_argument("--size", type=int, required=True)
+    p_count.add_argument("--size", type=_size, required=True)
     p_count.set_defaults(func=cmd_count)
 
     p_map = sub.add_parser("map", help="apply the forward bijection to a path")
@@ -80,14 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="exhaustively check the bijection and counters up to a size"
     )
-    p_verify.add_argument("--max-size", type=int, default=DEFAULT_VERIFY_SIZE)
+    p_verify.add_argument("--max-size", type=_size, default=DEFAULT_VERIFY_SIZE)
     p_verify.add_argument(
         "--census", action="store_true", help="also cross-check the indecomposable census"
     )
     p_verify.set_defaults(func=cmd_verify)
 
     p_perms = sub.add_parser("perms", help="count pattern-avoiding permutations exhaustively")
-    p_perms.add_argument("--n", type=int, required=True, help="number of elements")
+    p_perms.add_argument("--n", type=_size, required=True, help="number of elements")
     p_perms.add_argument(
         "--patterns",
         default="3241,3421,4321",
@@ -98,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis = sub.add_parser("oeis", help="compare computed counts against a b-file")
     p_oeis.add_argument("--bfile", required=True, help="path to a local OEIS b-file")
     p_oeis.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
-    p_oeis.add_argument("--max-size", type=int, default=30)
+    p_oeis.add_argument("--max-size", type=_size, default=30)
     p_oeis.add_argument(
         "--offset",
         type=int,
@@ -160,15 +171,15 @@ def cmd_unmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def check_size(n: int, census: bool = False) -> list[str]:
-    """All bijection/count invariant violations at one size (empty = all good)."""
+def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list[str]:
+    """All invariant violations at size n, given its two counts (empty = all good)."""
     problems: list[str] = []
     a_paths = enumerate_class_a(n)
     b_paths = enumerate_class_b(n)
-    if count_class_a(n) != len(a_paths):
-        problems.append(f"count A {count_class_a(n)} != enumeration {len(a_paths)}")
-    if count_class_b(n) != len(b_paths):
-        problems.append(f"count B {count_class_b(n)} != enumeration {len(b_paths)}")
+    if count_a != len(a_paths):
+        problems.append(f"count A {count_a} != enumeration {len(a_paths)}")
+    if count_b != len(b_paths):
+        problems.append(f"count B {count_b} != enumeration {len(b_paths)}")
     if any(q1 >= q2 for q1, q2 in zip(a_paths, a_paths[1:])):
         problems.append("class A enumeration is not strictly sorted")
     if any(q1 >= q2 for q1, q2 in zip(b_paths, b_paths[1:])):
@@ -207,9 +218,10 @@ def check_size(n: int, census: bool = False) -> list[str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
-    for n in range(args.max_size + 1):
-        problems = check_size(n, census=args.census)
-        a, b = count_class_a(n), count_class_b(n)
+    a_series = count_class_a_series(args.max_size)
+    b_series = count_class_b_series(args.max_size)
+    for n, (a, b) in enumerate(zip(a_series, b_series)):
+        problems = check_size(n, a, b, census=args.census)
         status = "OK" if not problems else "FAILED"
         print(f"n={n}: |A|={a} |B|={b} bijection {status}")
         for message in problems:

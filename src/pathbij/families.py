@@ -45,6 +45,7 @@ def enumerate_class_a(n: int, flat_line: int = 2) -> list[Path]:
             steps.pop()
 
     extend(0, 2 * n)
+    del extend  # the closure refers to itself; keeping the cycle would pin ``out``
     return out
 
 
@@ -78,6 +79,7 @@ def enumerate_class_b(n: int) -> list[Path]:
             steps.pop()
 
     extend(0, 2 * n, False, False)
+    del extend  # the closure refers to itself; keeping the cycle would pin ``out``
     return out
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, NamedTuple
+from itertools import accumulate
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 Step = Literal["U", "F", "D"]
 
@@ -30,7 +31,7 @@ _STEP_SET = frozenset(_RISE)
 # width budgets care (step words never store x-coordinates).
 STEP_WIDTH = {UP: 1, FLAT: 2, DOWN: 1}
 
-_MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
+MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
 
 
 class PathbijError(Exception):
@@ -48,6 +49,17 @@ class InvalidCharacter(PathbijError):
 
 class NotGroundTerminated(PathbijError):
     """An operation needing a ground-terminated path got one ending off ground."""
+
+
+def step_heights(steps: str) -> list[int]:
+    """Vertex heights of a step word, starting at 0: one more entry than steps."""
+    return list(accumulate(map(_RISE.__getitem__, steps), initial=0))
+
+
+def split_components(steps: str, heights: Sequence[int]) -> list[tuple[int, str]]:
+    """(start vertex, steps) of each component of a ground-terminated word with these heights."""
+    cuts = [v for v, h in enumerate(heights) if h == 0]
+    return [(a, steps[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True, order=True)
@@ -69,12 +81,7 @@ class Path:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Vertex heights, length len(steps) + 1, starting at 0."""
-        h = 0
-        out = [0]
-        for c in self.steps:
-            h += _RISE[c]
-            out.append(h)
-        return tuple(out)
+        return tuple(step_heights(self.steps))
 
     @property
     def size(self) -> int:
@@ -108,10 +115,6 @@ class Path:
 def parse_path(text: str) -> Path:
     """Parse a step word such as ``"UFD"``; the empty string is the empty path."""
     return Path(text)
-
-
-def format_path(p: Path) -> str:
-    return p.steps
 
 
 def concat(parts: Iterable[Path]) -> Path:
@@ -190,14 +193,8 @@ def components(p: Path) -> ComponentView:
     """Split at every interior ground-level vertex; concatenating the parts gives back p."""
     if p.end_height != 0:
         raise NotGroundTerminated(f"path ends at height {p.end_height}, not 0")
-    hs = p.heights
-    parts = []
-    start = 0
-    for v in range(1, len(hs)):
-        if hs[v] == 0:
-            parts.append(Component(start, Path(p.steps[start:v])))
-            start = v
-    return ComponentView(tuple(parts))
+    parts = split_components(p.steps, p.heights)
+    return ComponentView(tuple(Component(start, Path(steps)) for start, steps in parts))
 
 
 def is_indecomposable(p: Path) -> bool:
@@ -218,7 +215,7 @@ def peak_apexes(p: Path) -> list[int]:
 
 def reflect(p: Path) -> Path:
     """Mirror the path in the ground line (upsteps and downsteps swap); an involution."""
-    return Path(p.steps.translate(_MIRROR))
+    return Path(p.steps.translate(MIRROR))
 
 
 @dataclass(frozen=True)

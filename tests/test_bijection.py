@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathbij import (
     FlatNotAtHeightOne,
@@ -17,6 +17,7 @@ from pathbij import (
     expand_flats,
     flatten_peaks,
     flip_marked,
+    in_class_a,
     in_class_b,
     interchange,
     is_indecomposable,
@@ -28,6 +29,7 @@ from pathbij import (
     phi,
     phi_inverse,
     recover_marks,
+    reflect,
     reverse_interchange,
     trace_stages,
     unflatten_flats,
@@ -37,6 +39,45 @@ from pathbij import (
 
 def class_a_paths(max_size=5):
     return st.integers(0, max_size).flatmap(lambda n: st.sampled_from(enumerate_class_a(n)))
+
+
+def _walk(draw, width, flat_height):
+    """Steps spanning ``width`` half-units from relative height 0 back to 0, never below it.
+
+    Flatsteps are allowed only at ``flat_height`` (never, if it is None).
+    """
+    steps, h = [], 0
+    while width:
+        moves = ["D"] if h > 0 else []
+        if h == flat_height and h <= width - 2:
+            moves.append("F")
+        if h + 1 <= width - 1:
+            moves.append("U")
+        step = draw(st.sampled_from(moves))
+        steps.append(step)
+        h += {"U": 1, "F": 0, "D": -1}[step]
+        width -= 2 if step == "F" else 1
+    return "".join(steps)
+
+
+@st.composite
+def long_class_a_paths(draw, max_steps=300):
+    """Concatenated random indecomposable components, up to about ``max_steps`` steps.
+
+    Below-ground components are flat-free; above-ground ones keep their
+    flatsteps on y=2 (height 1 once the outer steps are stripped).  Returns
+    the path and, per component, whether it lies above ground.
+    """
+    parts, sides, budget = [], [], max_steps
+    while budget >= 2 and draw(st.integers(0, 7)):
+        size = draw(st.integers(1, min(40, budget // 2)))
+        above = draw(st.booleans())
+        inner = _walk(draw, 2 * size - 2, 1 if above else None)
+        part = "U" + inner + "D"
+        parts.append(part if above else reflect(Path(part)).steps)
+        sides.append(above)
+        budget -= len(parts[-1])
+    return Path("".join(parts)), sides
 
 
 def above_components(max_size):
@@ -272,6 +313,44 @@ def test_phi_preserves_component_structure(p):
     for cp, cq in zip(p_parts, q_parts):
         below = cp.path.steps[0] == "D"
         assert len(peak_apexes(cq.path)) == (0 if below else 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_class_a_paths())
+def test_properties_beyond_exhaustive_sizes(case):
+    p, sides = case
+    assert in_class_a(p)
+    q = phi(p)
+    assert phi_inverse(q) == p
+    assert phi(phi_inverse(q)) == q
+    p_parts, q_parts = components(p).paths, components(q).paths
+    assert [c.size for c in p_parts] == [c.size for c in q_parts]
+    assert [len(peak_apexes(c)) for c in q_parts] == [int(above) for above in sides]
+    forward = [trace_stages(c, "forward").stages[-1].path.steps for c in p_parts]
+    assert "".join(forward) == q.steps
+    inverse = [trace_stages(c, "inverse").stages[-1].path.steps for c in q_parts]
+    assert "".join(inverse) == p.steps
+
+
+def test_phi_builds_at_most_two_paths_per_call():
+    a_paths = [p for n in range(6) for p in enumerate_class_a(n)]
+    b_paths = [phi(p) for p in a_paths]
+    built = []
+    post_init = Path.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    Path.__post_init__ = counted
+    try:
+        for f, inputs in ((phi, a_paths), (phi_inverse, b_paths)):
+            built.clear()
+            for x in inputs:
+                f(x)
+            assert len(built) <= 2 * len(inputs), f.__name__
+    finally:
+        Path.__post_init__ = post_init
 
 
 def test_trace_forward_worked_stages():

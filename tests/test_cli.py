@@ -36,6 +36,34 @@ def test_map_trace_single_component(capsys):
     ]
 
 
+def test_unmap_trace_covers_every_inverse_shape(capsys):
+    # peak-free, one-peak and size-1 components, in that order
+    code, out, _ = run(["unmap", "--path", "FUUFUDDDUD", "--trace"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "component 1: F",
+        "input: F",
+        "output: DU",
+        "component 2: UUFUDDD",
+        "input: UUFUDDD",
+        "strip-ends: UFUDD",
+        "unflatten-flats: UUDUDD w=4",
+        "reverse-interchange: DDUUDU",
+        "recover-marks: UUDDUD marks=4",
+        "contract-marks: UUDFD",
+        "output: UUUDFDD",
+        "component 3: UD",
+        "input: UD",
+        "strip-ends:",
+        "unflatten-flats:",
+        "reverse-interchange:",
+        "recover-marks:",
+        "contract-marks:",
+        "output: UD",
+        "DUUUUDFDDUD",
+    ]
+
+
 def test_map_trace_multi_component(capsys):
     code, out, _ = run(["map", "--path", "DUUD", "--trace"], capsys)
     assert code == 0
@@ -89,6 +117,30 @@ def test_verify_small(capsys):
         "n=1: |A|=2 |B|=2 bijection OK",
         "n=2: |A|=6 |B|=6 bijection OK",
     ]
+
+
+def test_verify_runs_each_counter_once(capsys, monkeypatch):
+    import pathbij.cli
+    import pathbij.families
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    # count_class_a/_b reach the series through the families module's globals.
+    for name in ("count_class_a_series", "count_class_b_series"):
+        counted = counting(name, getattr(pathbij.families, name))
+        monkeypatch.setattr(pathbij.families, name, counted)
+        monkeypatch.setattr(pathbij.cli, name, counted)
+    code, out, _ = run(["verify", "--max-size", "3"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert sorted(calls) == ["count_class_a_series", "count_class_b_series"]
 
 
 def test_verify_census(capsys):
@@ -153,6 +205,26 @@ def test_oeis_malformed_file(tmp_path, capsys):
     code, _, err = run(["oeis", "--bfile", str(bfile), "--class", "A"], capsys)
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--class", "A", "--size", "-1"],
+        ["enumerate", "--class", "A", "--size", "-2"],
+        ["perms", "--n", "-1"],
+        ["oeis", "--bfile", "b.txt", "--class", "A", "--max-size", "-1"],
+        ["verify", "--max-size", "-1"],
+    ],
+)
+def test_negative_size_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be nonnegative" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -123,3 +125,16 @@ def test_census_examples():
 
     with pytest.raises(ValueError):
         indec_census(0)
+
+
+def test_enumerators_leave_no_reference_cycle():
+    # Without the cycle collector, the result must be freed as soon as it is dropped.
+    gc.disable()
+    try:
+        for enumerate_class in (enumerate_class_a, enumerate_class_b):
+            paths = enumerate_class(3)
+            first = weakref.ref(paths[0])
+            del paths
+            assert first() is None, enumerate_class.__name__
+    finally:
+        gc.enable()

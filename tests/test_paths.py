@@ -10,7 +10,6 @@ from pathbij import (
     classify,
     components,
     concat,
-    format_path,
     in_class_a,
     in_class_b,
     is_indecomposable,
@@ -63,7 +62,7 @@ def test_parse_rejects_bad_characters():
 
 @given(step_words)
 def test_parse_format_roundtrip(s):
-    assert format_path(parse_path(s)) == s
+    assert parse_path(s).steps == s
 
 
 def test_classify_examples():
