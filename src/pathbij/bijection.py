@@ -17,13 +17,13 @@ each indecomposable component independently:
 
 Each stage is a private kernel on step strings, paired with its inverse in
 one table; ``_run`` runs the table forwards, backwards, and with stage
-recording for the trace.  ``phi``, ``phi_inverse`` and ``trace_stages``
-check class membership once, so the kernels re-check nothing it implies; the
-public stage functions check their own domain, then call the same kernels.
-The inverse kernels check that their input lies in the forward stage's image
-and raise ``InverseDomainError`` otherwise; for genuine class members those
-checks never fire, which is exactly the reversibility claim the test suite
-verifies exhaustively.
+recording for the trace.  ``phi``, ``phi_inverse``, ``trace_stages`` and
+``trace_components`` check class membership once, so the kernels re-check
+nothing it implies; the public stage functions check their own domain, then
+call the same kernels.  The inverse kernels check that their input lies in
+the forward stage's image and raise ``InverseDomainError`` otherwise; for
+genuine class members those checks never fire, which is exactly the
+reversibility claim the test suite verifies exhaustively.
 """
 
 from __future__ import annotations
@@ -361,22 +361,40 @@ def unmap_indecomposable(q: Path) -> Path:
     return Path(_run(q.steps, inverse=True))
 
 
+def _components(p: Path, inverse: bool) -> list[str]:
+    """The components of a member of the map's domain, checked once here."""
+    if inverse:
+        if not in_class_b(p):
+            raise NotInClass("input is not a Schroeder path with at most one peak per component")
+    elif not in_class_a(p):
+        raise NotInClass("input is not a grand Schroeder path with all flatsteps on y=2")
+    return [s for _, s in split_components(p.steps, p.heights)]
+
+
 def phi(p: Path) -> Path:
     """Forward bijection, applied to each component independently.
 
     Preserves size and the component size sequence; below-ground components
     map to peak-free components and above-ground ones to one-peak components.
     """
-    if not in_class_a(p):
-        raise NotInClass("input is not a grand Schroeder path with all flatsteps on y=2")
-    return Path("".join(_run(s, False) for _, s in split_components(p.steps, p.heights)))
+    return Path("".join(_run(s, False) for s in _components(p, False)))
 
 
 def phi_inverse(q: Path) -> Path:
     """Inverse bijection; phi_inverse(phi(p)) == p and phi(phi_inverse(q)) == q."""
-    if not in_class_b(q):
-        raise NotInClass("input is not a Schroeder path with at most one peak per component")
-    return Path("".join(_run(s, True) for _, s in split_components(q.steps, q.heights)))
+    return Path("".join(_run(s, True) for s in _components(q, True)))
+
+
+def _trace(steps: str, direction: Direction) -> StageTrace:
+    stages: list[Stage] = []
+    _run(steps, direction == "inverse", stages)
+    return StageTrace(direction, tuple(stages))
+
+
+def _is_inverse(direction: Direction) -> bool:
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
+    return direction == "inverse"
 
 
 def trace_stages(p: Path, direction: Direction = "forward") -> StageTrace:
@@ -385,14 +403,18 @@ def trace_stages(p: Path, direction: Direction = "forward") -> StageTrace:
     Below-ground (forward) and peak-free (inverse) components map in a single
     composite move, so their traces have just the input and output stages.
     """
-    if direction == "forward":
+    if not _is_inverse(direction):
         if not in_class_a(p) or not is_indecomposable(p):
             raise NotInClass("forward tracing needs a single indecomposable flat-line component")
-    elif direction == "inverse":
-        if not in_class_b(p) or not is_indecomposable(p):
-            raise NotInClass("inverse tracing needs a single indecomposable peak-limited component")
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
-    stages: list[Stage] = []
-    _run(p.steps, direction == "inverse", stages)
-    return StageTrace(direction, tuple(stages))
+    elif not in_class_b(p) or not is_indecomposable(p):
+        raise NotInClass("inverse tracing needs a single indecomposable peak-limited component")
+    return _trace(p.steps, direction)
+
+
+def trace_components(p: Path, direction: Direction = "forward") -> tuple[StageTrace, ...]:
+    """The stage trace of each component of a whole path, in order.
+
+    Class membership is checked once, as in ``phi`` and ``phi_inverse``, with
+    the same error; the traces' output stages concatenate to the image.
+    """
+    return tuple(_trace(s, direction) for s in _components(p, _is_inverse(direction)))

@@ -14,17 +14,17 @@ import sys
 from typing import Sequence
 
 from .bijection import (
+    Direction,
     InverseDomainError,
     phi,
     phi_inverse,
-    trace_stages,
+    trace_components,
 )
 from .families import (
     Census,
-    count_class_a,
     count_class_a_series,
-    count_class_b,
     count_class_b_series,
+    count_series,
     enumerate_class_a,
     enumerate_class_b,
     indec_census,
@@ -32,12 +32,13 @@ from .families import (
 from .oeis import compare_sequence, parse_bfile
 from .paths import (
     DOWN,
+    FLAT,
+    UP,
     Path,
     PathbijError,
-    components,
     parse_path,
-    peak_apexes,
     render_ascii,
+    split_components,
 )
 from .permutations import count_avoiders, parse_patterns
 
@@ -139,36 +140,42 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    count = count_class_a(args.size) if args.cls == "A" else count_class_b(args.size)
-    print(count)
+    # Both classes share one sequence; verify checks the recurrence against both DPs.
+    print(count_series(args.size)[args.size])
     return 0
 
 
-def _print_traces(p: Path, direction: str) -> None:
-    parts = components(p).parts
-    for i, comp in enumerate(parts):
-        if len(parts) > 1:
-            print(f"component {i + 1}: {comp.path.steps}")
-        for line in trace_stages(comp.path, direction).lines():
+def _print_traced(p: Path, direction: Direction) -> None:
+    """Trace every component (checking the input before printing), then print the image."""
+    traces = trace_components(p, direction)
+    for i, trace in enumerate(traces):
+        if len(traces) > 1:
+            print(f"component {i + 1}: {trace.stages[0].path.steps}")
+        for line in trace.lines():
             print(line)
+    print("".join(trace.stages[-1].path.steps for trace in traces))
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     p = parse_path(args.path)
-    result = phi(p)
     if args.trace:
-        _print_traces(p, "forward")
-    print(result.steps)
+        _print_traced(p, "forward")
+    else:
+        print(phi(p).steps)
     return 0
 
 
 def cmd_unmap(args: argparse.Namespace) -> int:
     q = parse_path(args.path)
-    result = phi_inverse(q)
     if args.trace:
-        _print_traces(q, "inverse")
-    print(result.steps)
+        _print_traced(q, "inverse")
+    else:
+        print(phi_inverse(q).steps)
     return 0
+
+
+def _sizes(parts: list[tuple[int, str]]) -> list[int]:
+    return [s.count(UP) + s.count(FLAT) for _, s in parts]
 
 
 def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list[str]:
@@ -191,17 +198,17 @@ def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list
         if q.size != n:
             problems.append(f"size changed: {p.steps} -> {q.steps}")
             continue
-        p_parts = components(p).parts
-        q_parts = components(q).parts
-        if [c.path.size for c in p_parts] != [c.path.size for c in q_parts]:
+        p_parts = split_components(p.steps, p.heights)
+        q_parts = split_components(q.steps, q.heights)
+        if q.end_height != 0 or _sizes(p_parts) != _sizes(q_parts):
             problems.append(f"component sizes changed: {p.steps} -> {q.steps}")
             continue
-        for cp, cq in zip(p_parts, q_parts):
-            below = cp.path.steps[0] == DOWN
-            expected_peaks = 0 if below else 1
-            if len(peak_apexes(cq.path)) != expected_peaks:
-                problems.append(f"peak structure wrong: {p.steps} -> {q.steps}")
-                break
+        # below-ground components map to peak-free ones, above-ground ones to one peak
+        if any(
+            cq.count(UP + DOWN) != (0 if cp[0] == DOWN else 1)
+            for (_, cp), (_, cq) in zip(p_parts, q_parts)
+        ):
+            problems.append(f"peak structure wrong: {p.steps} -> {q.steps}")
         if phi_inverse(q) != p:
             problems.append(f"inverse roundtrip failed for {p.steps}")
     if sorted(images) != b_paths:
@@ -218,10 +225,12 @@ def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list
 
 def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
+    r_series = count_series(args.max_size)
     a_series = count_class_a_series(args.max_size)
     b_series = count_class_b_series(args.max_size)
-    for n, (a, b) in enumerate(zip(a_series, b_series)):
-        problems = check_size(n, a, b, census=args.census)
+    for n, (r, a, b) in enumerate(zip(r_series, a_series, b_series)):
+        problems = [] if r == a == b else [f"recurrence count {r} != DP counts {a} (A), {b} (B)"]
+        problems += check_size(n, a, b, census=args.census)
         status = "OK" if not problems else "FAILED"
         print(f"n={n}: |A|={a} |B|={b} bijection {status}")
         for message in problems:
@@ -248,10 +257,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
         return 2
     table = parse_bfile(text, source_name=bfile.name)
-    if args.cls == "A":
-        series = count_class_a_series(args.max_size)
-    else:
-        series = count_class_b_series(args.max_size)
+    series = count_series(args.max_size)  # the same sequence for both classes
     report = compare_sequence(series, table, args.offset)
     shown = report.matches + (0 if report.ok else 1)
     for i in range(shown):

@@ -3,11 +3,15 @@
 The enumerate_* functions walk the step tree depth-first with children in
 D < F < U order, pruning any prefix that cannot return to ground within the
 remaining width, so the output is duplicate-free and ASCII-sorted by
-construction.  The count_* functions answer the same cardinality questions
-without enumeration: a column-by-column dynamic program over path prefixes
-with Python's native big integers.  Counting a prefix table once gives the
-counts for every size up to a bound, which is what the *_series variants
-return; the single-size functions just read off the last entry.
+construction.  The count_class_* functions answer the same cardinality
+questions without enumeration: a column-by-column dynamic program over path
+prefixes with Python's native big integers.  Counting a prefix table once
+gives the counts for every size up to a bound, which is what the *_series
+variants return; the single-size functions just read off the last entry.
+
+``count_series`` computes the common sequence of both classes in O(n)
+big-integer operations from an order-3 recurrence derived from the two
+first-return decompositions; the dynamic programs are its oracles.
 """
 
 from __future__ import annotations
@@ -121,6 +125,46 @@ def count_class_b_series(max_n: int) -> list[int]:
             if h <= rem - 2:
                 cols[x + 2][(h, False, peak_used)] += c
     return [cols[2 * i].get(start, 0) for i in range(max_n + 1)]
+
+
+def count_series(max_n: int) -> list[int]:
+    """|A_n| = |B_n| for every size n = 0..max_n from an order-3 recurrence.
+
+    Class A is SEQ(x*C | x*H1), by first return to ground: a component
+    below ground is a mirrored primitive Dyck path, x*C with C = 1 + x*C^2,
+    and one above ground is x*H1 with H1 = 1/(1 - x*H2) and
+    H2 = 1/(1 - x - x*C), where H2 counts the paths whose flatsteps all lie
+    on their base line.  Class B is SEQ(x*S0 | x*(1 + S1)): peak-free
+    components are counted by x*S0 with S0 = 1/(1 - x*S0), and one-peak
+    components by x*(1 + S1) with S1 = x*S0^2*(1 + S1).  Both generating
+    functions reduce to the same quadratic
+
+        x(x^2 + 4x - 1) F^2 + (4x^2 - 5x + 1) F + (4x - 1) = 0,
+
+    which has exactly one power-series root, the one with F(0) = 1.  The
+    operator of the recurrence
+
+        (n^2+7n+6) a(n) + (18-50n-8n^2) a(n-1)
+            + (-174+81n+15n^2) a(n-2) + (-42+22n+4n^2) a(n-3) = 0,
+
+    applied to F, reduces modulo the quadratic to 6 - 12x - 36x^2, so the
+    recurrence holds for every n >= 3 from a(0..2) = 1, 2, 6.  Every
+    division is checked to be exact.
+    """
+    if max_n < 0:
+        raise ValueError("size must be nonnegative")
+    a = [1, 2, 6]
+    for n in range(3, max_n + 1):
+        num = (
+            (8 * n * n + 50 * n - 18) * a[n - 1]
+            - (15 * n * n + 81 * n - 174) * a[n - 2]
+            - (4 * n * n + 22 * n - 42) * a[n - 3]
+        )
+        term, rest = divmod(num, (n + 1) * (n + 6))
+        if rest:
+            raise ArithmeticError(f"the recurrence does not divide exactly at n={n}")
+        a.append(term)
+    return a[: max_n + 1]
 
 
 def count_class_a(n: int, flat_line: int = 2) -> int:

@@ -31,6 +31,7 @@ from pathbij import (
     recover_marks,
     reflect,
     reverse_interchange,
+    trace_components,
     trace_stages,
     unflatten_flats,
     unmap_indecomposable,
@@ -429,3 +430,25 @@ def test_trace_serialization():
         "flatten-peaks: UFUDD",
         "output: UUFUDDD",
     ]
+
+
+def test_trace_components_agree_with_the_maps():
+    for n in range(6):
+        for p in enumerate_class_a(n):
+            q = phi(p)
+            for x, y, direction in ((p, q, "forward"), (q, p, "inverse")):
+                traces = trace_components(x, direction)
+                parts = components(x).paths
+                assert traces == tuple(trace_stages(c, direction) for c in parts)
+                assert "".join(t.stages[-1].path.steps for t in traces) == y.steps
+
+
+def test_trace_components_check_like_the_maps():
+    for f, bad, direction in ((phi, "UUDDUU", "forward"), (phi_inverse, "UUDUDD", "inverse")):
+        with pytest.raises(NotInClass) as mapped:
+            f(parse_path(bad))
+        with pytest.raises(NotInClass) as traced:
+            trace_components(parse_path(bad), direction)
+        assert str(traced.value) == str(mapped.value)
+    with pytest.raises(ValueError):
+        trace_components(parse_path("UD"), "sideways")

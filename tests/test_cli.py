@@ -1,5 +1,9 @@
+import time
+
 import pytest
 
+import pathbij.cli
+from pathbij import count_class_a_series, count_class_b_series
 from pathbij.cli import main
 
 
@@ -85,9 +89,78 @@ def test_map_rejects_wrong_class(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("verb,path", [("map", "UDUDDUU"), ("unmap", "UDUUDUDD")])
+def test_trace_checks_the_whole_path_before_printing(verb, path, capsys):
+    # The first component is fine, the last is not: nothing may be printed.
+    code, out, err = run([verb, "--path", path, "--trace"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input is not a")
+
+
 def test_count(capsys):
     assert run(["count", "--class", "A", "--size", "0"], capsys)[1] == "1\n"
     assert run(["count", "--class", "B", "--size", "3"], capsys)[1] == "21\n"
+
+
+def test_count_size_3000_is_fast(capsys):
+    best = float("inf")
+    for _ in range(3):  # best of three, so one stall on a shared machine does not decide
+        start = time.perf_counter()
+        code, out, _ = run(["count", "--class", "A", "--size", "3000"], capsys)
+        best = min(best, time.perf_counter() - start)
+    assert code == 0
+    assert len(out) > 1000
+    assert best < 0.1
+
+
+DP_SERIES = {"A": count_class_a_series, "B": count_class_b_series}
+
+
+def run_both(argv, capsys, monkeypatch):
+    """The CLI's output through the recurrence, then through the class's own DP."""
+    fast = run(argv, capsys)
+    with monkeypatch.context() as m:
+        m.setattr(pathbij.cli, "count_series", DP_SERIES[argv[argv.index("--class") + 1]])
+        slow = run(argv, capsys)
+    return fast, slow
+
+
+@pytest.mark.parametrize("cls", "AB")
+def test_count_matches_the_dp_output(cls, capsys, monkeypatch):
+    for n in range(61):
+        fast, slow = run_both(["count", "--class", cls, "--size", str(n)], capsys, monkeypatch)
+        assert fast == slow, n
+
+
+@pytest.mark.parametrize("cls", "AB")
+def test_oeis_matches_the_dp_output(cls, tmp_path, capsys, monkeypatch):
+    terms = count_class_a_series(60)
+    good = tmp_path / "b_good.txt"
+    good.write_text("".join(f"{i} {v}\n" for i, v in enumerate(terms)))
+    bad = tmp_path / "b_bad.txt"
+    bad.write_text("".join(f"{i} {v + (i == 40)}\n" for i, v in enumerate(terms)))
+    for bfile in (good, bad):
+        for size in (0, 1, 39, 40, 60):
+            argv = ["oeis", "--bfile", str(bfile), "--class", cls, "--max-size", str(size)]
+            fast, slow = run_both(argv, capsys, monkeypatch)
+            assert fast == slow, (bfile.name, size)
+    assert fast[0] == 1  # the last call reads past the altered term
+
+
+def test_verify_reports_a_recurrence_mismatch(capsys, monkeypatch):
+    def wrong(max_n):
+        series = count_class_a_series(max_n)
+        series[3] += 1
+        return series
+
+    monkeypatch.setattr(pathbij.cli, "count_series", wrong)
+    code, out, _ = run(["verify", "--max-size", "4"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3] == "n=3: |A|=21 |B|=21 bijection FAILED"
+    assert lines[4] == "  recurrence count 22 != DP counts 21 (A), 21 (B)"
+    assert lines[5] == "n=4: |A|=79 |B|=79 bijection OK"
 
 
 def test_enumerate(capsys):
@@ -120,7 +193,6 @@ def test_verify_small(capsys):
 
 
 def test_verify_runs_each_counter_once(capsys, monkeypatch):
-    import pathbij.cli
     import pathbij.families
 
     calls = []

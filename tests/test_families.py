@@ -11,6 +11,7 @@ from pathbij import (
     count_class_a_series,
     count_class_b,
     count_class_b_series,
+    count_series,
     enumerate_class_a,
     enumerate_class_b,
     in_class_a,
@@ -82,6 +83,7 @@ def test_enumerated_class_a_structure():
 def test_count_small_goldens():
     assert [count_class_a(n) for n in range(4)] == [1, 2, 6, 21]
     assert [count_class_b(n) for n in range(4)] == [1, 2, 6, 21]
+    assert [count_series(n) for n in range(4)] == [[1], [1, 2], [1, 2, 6], [1, 2, 6, 21]]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -99,6 +101,68 @@ def test_counts_agree_at_scale():
     assert count_class_a_series(60) == count_class_b_series(60)
 
 
+def test_recurrence_matches_both_dps():
+    assert count_series(400) == count_class_a_series(400) == count_class_b_series(400)
+
+
+def test_recurrence_refuses_an_inexact_division(monkeypatch):
+    import pathbij.families
+
+    # A remainder can only come from a wrong recurrence; fake one to reach the guard.
+    monkeypatch.setattr(pathbij.families, "divmod", lambda a, b: (a // b, 1), raising=False)
+    assert count_series(2) == [1, 2, 6]
+    with pytest.raises(ArithmeticError, match="n=3"):
+        count_series(3)
+
+
+def test_dp_series_satisfies_the_quadratic():
+    # x(x^2+4x-1) F^2 + (4x^2-5x+1) F + (4x-1) = 0, coefficient by coefficient mod x^201.
+    f = count_class_a_series(200)
+    sq = [sum(f[i] * f[k - i] for i in range(k + 1)) for k in range(201)]
+
+    def at(seq, k):
+        return seq[k] if k >= 0 else 0
+
+    constant = [-1, 4]
+    for k in range(201):
+        from_square = at(sq, k - 3) + 4 * at(sq, k - 2) - at(sq, k - 1)
+        from_linear = 4 * at(f, k - 2) - 5 * at(f, k - 1) + f[k]
+        assert from_square + from_linear + (constant[k] if k < 2 else 0) == 0, k
+
+
+def test_recurrence_operator_reduces_modulo_the_quadratic():
+    sp = pytest.importorskip("sympy")
+    x, f, c, s1, n = sp.symbols("x F C S1 n")
+    quadratic = x * (x**2 + 4 * x - 1) * f**2 + (4 * x**2 - 5 * x + 1) * f + (4 * x - 1)
+
+    # Both first-return decompositions give the quadratic, with C = 1 + x C^2.
+    h1 = 1 / (1 - x / (1 - x - x * c))
+    class_a = 1 / (1 - x * c - x * h1)
+    one_peak = sp.solve(sp.Eq(s1, x * c**2 * (1 + s1)), s1)[0]
+    class_b = 1 / (1 - x * c - x * (1 + one_peak))
+    for gf in (class_a, class_b):
+        numerator = sp.numer(sp.together(quadratic.subs(f, gf)))
+        assert sp.rem(sp.expand(numerator), x * c**2 - c + 1, c) == 0
+
+    # sum_k c_k(n) a(n-k) is the coefficient of x^n in sum_k x^k c_k(theta + k) F,
+    # theta = x d/dx; F' and F'' come from differentiating the quadratic.
+    coefficients = [
+        n**2 + 7 * n + 6,
+        18 - 50 * n - 8 * n**2,
+        -174 + 81 * n + 15 * n**2,
+        -42 + 22 * n + 4 * n**2,
+    ]
+    d1 = -sp.diff(quadratic, x) / sp.diff(quadratic, f)
+    d2 = sp.diff(d1, x) + sp.diff(d1, f) * d1
+    theta = [f, x * d1, x * d1 + x**2 * d2]  # theta^0, theta^1, theta^2 applied to F
+    applied = 0
+    for k, ck in enumerate(coefficients):
+        poly = sp.Poly(sp.expand(ck.subs(n, n + k)), n)
+        applied += x**k * sum(poly.coeff_monomial(n**j) * theta[j] for j in range(3))
+    residue = sp.numer(sp.together(applied - (6 - 12 * x - 36 * x**2)))
+    assert sp.rem(sp.expand(residue), quadratic, f) == 0
+
+
 def test_rejects_negative_size():
     with pytest.raises(ValueError):
         enumerate_class_a(-1)
@@ -106,6 +170,8 @@ def test_rejects_negative_size():
         enumerate_class_b(-1)
     with pytest.raises(ValueError):
         count_class_a(-1)
+    with pytest.raises(ValueError):
+        count_series(-1)
 
 
 def test_census_examples():
