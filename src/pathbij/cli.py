@@ -21,13 +21,12 @@ from .bijection import (
     trace_components,
 )
 from .families import (
-    Census,
+    census_of,
     count_class_a_series,
     count_class_b_series,
     count_series,
     enumerate_class_a,
     enumerate_class_b,
-    indec_census,
 )
 from .oeis import compare_sequence, parse_bfile
 from .paths import (
@@ -193,31 +192,39 @@ def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list
         problems.append("class B enumeration is not strictly sorted")
     images = []
     for p in a_paths:
-        q = phi(p)
-        images.append(q)
-        if q.size != n:
-            problems.append(f"size changed: {p.steps} -> {q.steps}")
-            continue
-        p_parts = split_components(p.steps, p.heights)
-        q_parts = split_components(q.steps, q.heights)
-        if q.end_height != 0 or _sizes(p_parts) != _sizes(q_parts):
-            problems.append(f"component sizes changed: {p.steps} -> {q.steps}")
-            continue
-        # below-ground components map to peak-free ones, above-ground ones to one peak
-        if any(
-            cq.count(UP + DOWN) != (0 if cp[0] == DOWN else 1)
-            for (_, cp), (_, cq) in zip(p_parts, q_parts)
-        ):
-            problems.append(f"peak structure wrong: {p.steps} -> {q.steps}")
-        if phi_inverse(q) != p:
-            problems.append(f"inverse roundtrip failed for {p.steps}")
+        try:
+            q = phi(p)
+            images.append(q)
+            if q.size != n:
+                problems.append(f"size changed: {p.steps} -> {q.steps}")
+                continue
+            p_parts = split_components(p.steps, p.heights)
+            q_parts = split_components(q.steps, q.heights)
+            if q.end_height != 0 or _sizes(p_parts) != _sizes(q_parts):
+                problems.append(f"component sizes changed: {p.steps} -> {q.steps}")
+                continue
+            # below-ground components map to peak-free ones, above-ground ones to one peak
+            if any(
+                cq.count(UP + DOWN) != (0 if cp[0] == DOWN else 1)
+                for (_, cp), (_, cq) in zip(p_parts, q_parts)
+            ):
+                problems.append(f"peak structure wrong: {p.steps} -> {q.steps}")
+            if phi_inverse(q) != p:
+                problems.append(f"inverse roundtrip failed for {p.steps}")
+        except PathbijError as exc:
+            problems.append(f"error for {p.steps}: {exc}")
     if sorted(images) != b_paths:
         problems.append("image of the forward map differs from the class B enumeration")
-    for q in b_paths:
-        if phi(phi_inverse(q)) != q:
-            problems.append(f"forward roundtrip failed for {q.steps}")
+    # With no problem, every q in B is phi(p) for a p with phi_inverse(q) == p: no q can fail.
+    if problems:
+        for q in b_paths:
+            try:
+                if phi(phi_inverse(q)) != q:
+                    problems.append(f"forward roundtrip failed for {q.steps}")
+            except PathbijError as exc:
+                problems.append(f"error for {q.steps}: {exc}")
     if census and n >= 1:
-        c: Census = indec_census(n)
+        c = census_of(a_paths, b_paths)
         if c.below_a != c.nopeak_b or c.above_a != c.onepeak_b:
             problems.append(f"census mismatch: {c}")
     return problems

@@ -17,7 +17,7 @@ first-return decompositions; the dynamic programs are its oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .paths import DOWN, FLAT, UP, Path, is_indecomposable, peak_apexes
 
@@ -184,22 +184,27 @@ class Census(NamedTuple):
     onepeak_b: int
 
 
-def indec_census(n: int) -> Census:
-    """Indecomposable counts: flat-line grand paths by side, peak-limited paths by peak count."""
-    if n < 1:
-        raise ValueError("the census is defined for sizes >= 1")
+def census_of(a_paths: Iterable[Path], b_paths: Iterable[Path]) -> Census:
+    """Indecomposable counts over given paths of A by side and of B by peak count."""
     below = above = 0
-    for p in enumerate_class_a(n):
+    for p in a_paths:
         if is_indecomposable(p):
             if p.steps[0] == DOWN:
                 below += 1
             else:
                 above += 1
     nopeak = onepeak = 0
-    for q in enumerate_class_b(n):
+    for q in b_paths:
         if is_indecomposable(q):
             if peak_apexes(q):
                 onepeak += 1
             else:
                 nopeak += 1
     return Census(below, above, nopeak, onepeak)
+
+
+def indec_census(n: int) -> Census:
+    """Indecomposable counts: flat-line grand paths by side, peak-limited paths by peak count."""
+    if n < 1:
+        raise ValueError("the census is defined for sizes >= 1")
+    return census_of(enumerate_class_a(n), enumerate_class_b(n))

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every stated runtime bound is asserted, not just observed.
 """
 
+import contextlib
+import io
 import itertools
 import pathlib
 import time
@@ -13,7 +15,6 @@ import pytest
 from pathbij import (
     Path,
     compare_sequence,
-    components,
     count_avoiders,
     count_class_a,
     count_class_a_series,
@@ -94,33 +95,17 @@ def test_criterion_3_stage_trace_golden():
 
 
 def test_criterion_4_bijection_exhaustive():
+    """The exhaustive check is ``verify`` itself; test_bijection checks the maps directly."""
     t0 = time.perf_counter()
-    checked = 0
-    for n in range(VERIFY_MAX_SIZE + 1):
-        a_paths = enumerate_class_a(n)
-        b_paths = enumerate_class_b(n)
-        images = []
-        for p in a_paths:
-            q = phi(p)
-            images.append(q)
-            assert q.size == n
-            assert in_class_b(q)
-            p_parts = components(p).parts
-            q_parts = components(q).parts
-            assert [c.path.size for c in p_parts] == [c.path.size for c in q_parts]
-            for cp, cq in zip(p_parts, q_parts):
-                below = cp.path.steps[0] == "D"
-                assert len(peak_apexes(cq.path)) == (0 if below else 1)
-            assert phi_inverse(q) == p
-            checked += 1
-        assert sorted(images) == b_paths  # injective and onto
-        for q in b_paths:
-            p = phi_inverse(q)
-            assert in_class_a(p)
-            assert phi(p) == q
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--max-size", str(VERIFY_MAX_SIZE)])
     elapsed = time.perf_counter() - t0
+    lines = out.getvalue().splitlines()
+    assert code == 0
+    assert len(lines) == VERIFY_MAX_SIZE + 1
+    assert all(line.endswith(" bijection OK") for line in lines)
     assert elapsed < 60.0
-    _report(4, f"bijection over {checked} paths, sizes <= {VERIFY_MAX_SIZE} ({elapsed:.1f}s)")
+    _report(4, f"verify reports the bijection OK at sizes <= {VERIFY_MAX_SIZE} ({elapsed:.1f}s)")
 
 
 def test_criterion_5_oracle_equivalence():

@@ -3,8 +3,20 @@ import time
 import pytest
 
 import pathbij.cli
-from pathbij import count_class_a_series, count_class_b_series
+import pathbij.families
+from pathbij import (
+    Path,
+    count_class_a_series,
+    count_class_b_series,
+    count_series,
+    enumerate_class_a,
+    enumerate_class_b,
+    phi,
+    phi_inverse,
+)
 from pathbij.cli import main
+from pathbij.families import census_of
+from pathbij.paths import MIRROR
 
 
 def run(argv, capsys):
@@ -163,6 +175,79 @@ def test_verify_reports_a_recurrence_mismatch(capsys, monkeypatch):
     assert lines[5] == "n=4: |A|=79 |B|=79 bijection OK"
 
 
+def _reversed_after_uudd(q):
+    """phi_inverse, but read backwards for images starting UUDD: a path of A still."""
+    p = phi_inverse(q)
+    return Path(p.steps[::-1].translate(MIRROR)) if q.steps.startswith("UUDD") else p
+
+
+def _last_b_extended(n):
+    paths = enumerate_class_b(n)
+    return paths[:-1] + [paths[-1] + Path("F")]  # still sorted and as many
+
+
+@pytest.mark.parametrize(
+    "name,fault,max_size,line",
+    [
+        pytest.param(
+            "enumerate_class_a", lambda n: enumerate_class_a(n)[1:], 1,
+            "count A 2 != enumeration 1", id="count",
+        ),
+        pytest.param(
+            "enumerate_class_b", lambda n: enumerate_class_b(n)[::-1], 1,
+            "class B enumeration is not strictly sorted", id="sorted",
+        ),
+        pytest.param(
+            "phi", lambda p: phi(p) + Path("UD"), 1, "size changed: DU -> FUD", id="size"
+        ),
+        pytest.param(
+            "phi", lambda p: Path("F" * p.size), 2, "component sizes changed: UUDD -> FF",
+            id="component-sizes",
+        ),
+        pytest.param(
+            "phi", lambda p: Path("F" * p.size), 1, "peak structure wrong: UD -> F", id="peaks"
+        ),
+        pytest.param(
+            "phi_inverse", lambda q: Path("DU" * q.size), 1, "inverse roundtrip failed for UD",
+            id="inverse-roundtrip",
+        ),
+        pytest.param(
+            "enumerate_class_b", _last_b_extended, 1,
+            "image of the forward map differs from the class B enumeration", id="image",
+        ),
+        pytest.param(
+            "phi_inverse", _reversed_after_uudd, 3, "forward roundtrip failed for UUDDF",
+            id="forward-roundtrip",
+        ),
+        pytest.param(
+            "census_of", lambda a, b: census_of(a, b)._replace(below_a=0), 1,
+            "census mismatch: Census(below_a=0, above_a=1, nopeak_b=1, onepeak_b=1)", id="census",
+        ),
+    ],
+)
+def test_verify_reports_each_problem(name, fault, max_size, line, capsys, monkeypatch):
+    monkeypatch.setattr(pathbij.cli, name, fault)
+    code, out, err = run(["verify", "--max-size", str(max_size), "--census"], capsys)
+    assert code == 1
+    assert err == ""
+    assert "  " + line in out.splitlines()
+
+
+def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
+    monkeypatch.setattr(pathbij.cli, "phi", lambda p: Path(phi(p).steps[::-1]))
+    code, out, err = run(["verify", "--max-size", "3"], capsys)
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["n=0: |A|=1 |B|=1 bijection OK", "n=1: |A|=2 |B|=2 bijection FAILED"]
+    error = "input is not a Schroeder path with at most one peak per component"
+    assert f"  error for UD: {error}" in lines
+    assert [line for line in lines if line.startswith("n=")][2:] == [
+        "n=2: |A|=6 |B|=6 bijection FAILED",
+        "n=3: |A|=21 |B|=21 bijection FAILED",
+    ]
+
+
 def test_enumerate(capsys):
     code, out, _ = run(["enumerate", "--class", "A", "--size", "1"], capsys)
     assert code == 0
@@ -193,8 +278,6 @@ def test_verify_small(capsys):
 
 
 def test_verify_runs_each_counter_once(capsys, monkeypatch):
-    import pathbij.families
-
     calls = []
 
     def counting(name, fn):
@@ -213,6 +296,28 @@ def test_verify_runs_each_counter_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 4
     assert sorted(calls) == ["count_class_a_series", "count_class_b_series"]
+
+
+def test_verify_maps_each_path_once_and_enumerates_each_size_once(capsys, monkeypatch):
+    calls = {}
+
+    def counting(fn):
+        def counted(arg):
+            calls.setdefault(fn.__name__, []).append(arg)
+            return fn(arg)
+
+        return counted
+
+    # indec_census would reach the enumerators through the families module's globals.
+    for fn in (enumerate_class_a, enumerate_class_b):
+        monkeypatch.setattr(pathbij.families, fn.__name__, counting(fn))
+        monkeypatch.setattr(pathbij.cli, fn.__name__, counting(fn))
+    for fn in (phi, phi_inverse):
+        monkeypatch.setattr(pathbij.cli, fn.__name__, counting(fn))
+    code, _, _ = run(["verify", "--max-size", "5", "--census"], capsys)
+    assert code == 0
+    assert calls["enumerate_class_a"] == calls["enumerate_class_b"] == list(range(6))
+    assert len(calls["phi"]) == len(calls["phi_inverse"]) == sum(count_series(5))
 
 
 def test_verify_census(capsys):
