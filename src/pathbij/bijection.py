@@ -15,55 +15,35 @@ each indecomposable component independently:
   peaks except the one created at the block boundary, and re-attach the outer
   steps -- giving a component with exactly one peak.
 
-Each stage is a private kernel on step strings, paired with its inverse in
-one table; ``_run`` runs the table forwards, backwards, and with stage
-recording for the trace.  ``phi``, ``phi_inverse``, ``trace_stages`` and
+Each stage is defined once, as a private kernel on step strings paired with
+its inverse in ``_ABOVE_STAGES``; ``_run`` runs the table forwards, backwards,
+and with stage recording for the trace.  ``phi``, ``phi_inverse`` and
 ``trace_components`` check class membership once, so the kernels re-check
-nothing it implies; the public stage functions check their own domain, then
-call the same kernels.  The inverse kernels check that their input lies in
-the forward stage's image and raise ``InverseDomainError`` otherwise; for
-genuine class members those checks never fire, which is exactly the
-reversibility claim the test suite verifies exhaustively.
+nothing it implies.  The inverse kernels check that their input lies in the
+forward stage's image and raise ``InverseDomainError`` otherwise; for genuine
+class members those checks never fire, which is exactly the reversibility
+claim the test suite verifies exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Literal
 
 from .paths import (
     DOWN,
     FLAT,
     MIRROR,
     UP,
-    MarkedPath,
     Path,
     PathbijError,
     in_class_a,
     in_class_b,
-    is_indecomposable,
-    peak_apexes,
     split_components,
     step_heights,
 )
 
 _PEAK = UP + DOWN
-
-
-class UnknownApex(PathbijError):
-    """``keep`` mentioned a vertex that is not a peak apex."""
-
-
-class FlatNotAtHeightOne(PathbijError):
-    """Flatstep expansion needs every flatstep at height 1."""
-
-
-class MarkNotContractible(PathbijError):
-    """A marked vertex is not flanked by a downstep-upstep pair."""
-
-
-class PreconditionViolated(PathbijError):
-    """The input lies outside the operation's stated domain."""
 
 
 class InverseDomainError(PathbijError):
@@ -74,41 +54,11 @@ class NotInClass(PathbijError):
     """The path does not belong to the family the map is defined on."""
 
 
-def _flatten(s: str, keep: Iterable[int] = ()) -> str:
-    """Flatten every peak of the step word ``s`` whose apex is not in ``keep``."""
-    out, start = [], 0
-    for a in sorted(keep):
-        out += (s[start : a - 1].replace(_PEAK, FLAT), _PEAK)
-        start = a + 1
-    out.append(s[start:].replace(_PEAK, FLAT))
-    return "".join(out)
-
-
-def flatten_peaks(p: Path, keep: Iterable[int] = ()) -> Path:
-    """Replace every peak whose apex is not in ``keep`` by a flatstep at the base height."""
-    kept = set(keep)
-    stray = kept - set(peak_apexes(p))
-    if stray:
-        raise UnknownApex(f"vertices {sorted(stray)} are not peak apexes")
-    return Path(_flatten(p.steps, kept))
-
-
-def unflatten_flats(p: Path) -> Path:
-    """Replace every flatstep by an up-down peak at the same base height."""
-    return Path(p.steps.replace(FLAT, _PEAK))
-
-
-def map_indecomposable_below(p: Path) -> Path:
-    """Map an all-below component: mirror above ground, then flatten every peak.
-
-    The image is an indecomposable Schroeder path of equal size with no peak.
-    """
-    hs = p.heights
-    if not p.steps or hs[-1] != 0 or FLAT in p.steps or any(h >= 0 for h in hs[1:-1]):
-        raise PreconditionViolated(
-            "expected a flat-free indecomposable component lying below ground"
-        )
-    return Path(_run(p.steps, inverse=False))
+def _flatten(s: str, keep: int | None = None) -> str:
+    """Flatten every peak of the step word ``s`` except the one with apex ``keep``."""
+    if keep is None:
+        return s.replace(_PEAK, FLAT)
+    return s[: keep - 1].replace(_PEAK, FLAT) + _PEAK + s[keep + 1 :].replace(_PEAK, FLAT)
 
 
 # Stage kernels map (steps, annotations) to the next pair; the annotations
@@ -122,36 +72,15 @@ def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
     return s.replace(FLAT, DOWN + UP), {"marks": marks}
 
 
-def expand_flats(p: Path) -> MarkedPath:
-    """Replace each height-1 flatstep by a down-up valley, marking the new ground vertex.
-
-    The result is a Dyck path of equal size; the marks remember which ground
-    vertices were created so the expansion can be undone.
-    """
-    hs = p.heights
-    if hs[-1] != 0 or min(hs) < 0:
-        raise PreconditionViolated("expected a Schroeder path")
-    for i, c in enumerate(p.steps):
-        if c == FLAT and hs[i] != 1:
-            raise FlatNotAtHeightOne(f"flatstep before vertex {i} sits at height {hs[i]}")
-    steps, ann = _expand_flats(p.steps, {})
-    return MarkedPath(Path(steps), ann["marks"])
-
-
 def _contract_marks(s: str, ann: dict) -> tuple[str, dict]:
     out, start = [], 0
     for m in sorted(ann["marks"]):
         if s[m - 1 : m + 1] != DOWN + UP:
-            raise MarkNotContractible(f"vertex {m} is not between a downstep and an upstep")
+            raise InverseDomainError(f"vertex {m} is not between a downstep and an upstep")
         out += (s[start : m - 1], FLAT)
         start = m + 1
     out.append(s[start:])
     return "".join(out), {}
-
-
-def contract_marks(mp: MarkedPath) -> Path:
-    """Inverse of expand_flats: each marked down-up valley becomes one flatstep."""
-    return Path(_contract_marks(mp.path.steps, {"marks": mp.marks})[0])
 
 
 def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
@@ -161,18 +90,6 @@ def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
     )
     v1, v2 = _landmarks(g)
     return g, {"v1": v1, "v2": v2}
-
-
-def flip_marked(mp: MarkedPath) -> Path:
-    """Mirror the first component and every component that starts at a marked vertex.
-
-    On a nonempty Dyck path every mark is automatically a component boundary;
-    the result is a grand Dyck path whose first component lies below ground.
-    """
-    p = mp.path
-    if not p.steps or FLAT in p.steps or p.min_height < 0 or p.end_height != 0:
-        raise PreconditionViolated("expected a nonempty Dyck path")
-    return Path(_flip_marked(p.steps, {"marks": mp.marks})[0])
 
 
 def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
@@ -192,56 +109,22 @@ def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
     return "".join(out), {"marks": frozenset(marks)}
 
 
-def recover_marks(g: Path) -> MarkedPath:
-    """Inverse of flip_marked: mirror the below components, marking where the later ones start."""
-    steps, ann = _recover_marks(g.steps, {})
-    return MarkedPath(Path(steps), ann["marks"])
-
-
-class Landmarks(NamedTuple):
-    v1: int
-    v2: int
-
-
 def _landmarks(g: str) -> tuple[int, int]:
+    """The leftmost lowest vertex and the end of the last upstep returning to ground.
+
+    On a nonempty grand Dyck path whose first component lies below ground,
+    0 < v1 < v2 always holds.
+    """
     hs = step_heights(g)
     v2 = next(v for v in range(len(g), 0, -1) if hs[v] == 0 and g[v - 1] == UP)
     return hs.index(min(hs)), v2
 
 
-def landmarks(g: Path) -> Landmarks:
-    """Locate the leftmost lowest vertex and the end of the last upstep returning to ground.
-
-    Defined on nonempty grand Dyck paths whose first component lies below
-    ground; then 0 < v1 < v2 always holds.
-    """
-    if not g.steps or FLAT in g.steps or g.end_height != 0 or g.steps[0] != DOWN:
-        raise PreconditionViolated(
-            "expected a grand Dyck path whose first component lies below ground"
-        )
-    return Landmarks(*_landmarks(g.steps))
-
-
-class Interchanged(NamedTuple):
-    path: Path
-    w: int
-
-
 def _interchange(g: str, ann: dict) -> tuple[str, dict]:
+    # The moved block starts at the old minimum, so the result is a Dyck path
+    # with a peak apex at w, where v2 lands.
     v1, v2 = ann["v1"], ann["v2"]
     return g[v1:v2] + g[:v1] + g[v2:], {"w": v2 - v1}
-
-
-def interchange(g: Path, v1: int, v2: int) -> Interchanged:
-    """Swap the blocks before v1 and from v1 to v2; w is where v2 lands.
-
-    The result is a Dyck path with a peak apex at w = v2 - v1 (the moved
-    block starts at the old minimum, so the whole path stays nonnegative).
-    """
-    if landmarks(g) != (v1, v2):
-        raise PreconditionViolated(f"({v1}, {v2}) are not the landmark vertices")
-    steps, ann = _interchange(g.steps, {"v1": v1, "v2": v2})
-    return Interchanged(Path(steps), ann["w"])
 
 
 def _reverse_interchange(d: str, ann: dict) -> tuple[str, dict]:
@@ -255,13 +138,8 @@ def _reverse_interchange(d: str, ann: dict) -> tuple[str, dict]:
     return d[w:z] + d[:w] + d[z:], {}
 
 
-def reverse_interchange(d: Path, w: int) -> Path:
-    """Inverse of interchange: split after w at the next ground return and rotate back."""
-    return Path(_reverse_interchange(d.steps, {"w": w})[0])
-
-
 def _flatten_peaks(d: str, ann: dict) -> tuple[str, dict]:
-    return _flatten(d, (ann["w"],)), {}
+    return _flatten(d, ann["w"]), {}
 
 
 def _unflatten_flats(f: str, _: dict) -> tuple[str, dict]:
@@ -344,23 +222,6 @@ class StageTrace:
         return "\n".join(self.lines())
 
 
-def map_indecomposable_above(p: Path) -> Path:
-    """Map an all-above component through the pipeline; the image has exactly one peak."""
-    hs = p.heights
-    if not p.steps or hs[-1] != 0 or any(h <= 0 for h in hs[1:-1]) or not in_class_a(p):
-        raise PreconditionViolated(
-            "expected an indecomposable flat-line component lying above ground"
-        )
-    return Path(_run(p.steps, inverse=False))
-
-
-def unmap_indecomposable(q: Path) -> Path:
-    """Inverse map on one component: no peak goes below ground, one peak goes above."""
-    if not is_indecomposable(q) or not in_class_b(q):
-        raise PreconditionViolated("expected an indecomposable component with at most one peak")
-    return Path(_run(q.steps, inverse=True))
-
-
 def _components(p: Path, inverse: bool) -> list[str]:
     """The components of a member of the map's domain, checked once here."""
     if inverse:
@@ -385,36 +246,20 @@ def phi_inverse(q: Path) -> Path:
     return Path("".join(_run(s, True) for s in _components(q, True)))
 
 
-def _trace(steps: str, direction: Direction) -> StageTrace:
-    stages: list[Stage] = []
-    _run(steps, direction == "inverse", stages)
-    return StageTrace(direction, tuple(stages))
-
-
-def _is_inverse(direction: Direction) -> bool:
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
-    return direction == "inverse"
-
-
-def trace_stages(p: Path, direction: Direction = "forward") -> StageTrace:
-    """Labelled intermediate values of the pipeline on one indecomposable component.
-
-    Below-ground (forward) and peak-free (inverse) components map in a single
-    composite move, so their traces have just the input and output stages.
-    """
-    if not _is_inverse(direction):
-        if not in_class_a(p) or not is_indecomposable(p):
-            raise NotInClass("forward tracing needs a single indecomposable flat-line component")
-    elif not in_class_b(p) or not is_indecomposable(p):
-        raise NotInClass("inverse tracing needs a single indecomposable peak-limited component")
-    return _trace(p.steps, direction)
-
-
 def trace_components(p: Path, direction: Direction = "forward") -> tuple[StageTrace, ...]:
     """The stage trace of each component of a whole path, in order.
 
     Class membership is checked once, as in ``phi`` and ``phi_inverse``, with
     the same error; the traces' output stages concatenate to the image.
+    Below-ground (forward) and peak-free (inverse) components map in a single
+    composite move, so their traces have just the input and output stages.
     """
-    return tuple(_trace(s, direction) for s in _components(p, _is_inverse(direction)))
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
+    inverse = direction == "inverse"
+    traces = []
+    for s in _components(p, inverse):
+        stages: list[Stage] = []
+        _run(s, inverse, stages)
+        traces.append(StageTrace(direction, tuple(stages)))
+    return tuple(traces)

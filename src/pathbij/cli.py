@@ -260,7 +260,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     bfile = pathlib.Path(args.bfile)
     try:
         text = bfile.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
         return 2
     table = parse_bfile(text, source_name=bfile.name)

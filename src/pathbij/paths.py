@@ -218,24 +218,6 @@ def reflect(p: Path) -> Path:
     return Path(p.steps.translate(MIRROR))
 
 
-@dataclass(frozen=True)
-class MarkedPath:
-    """A path plus a set of marked interior ground-level vertices."""
-
-    path: Path
-    marks: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.marks, frozenset):
-            object.__setattr__(self, "marks", frozenset(self.marks))
-        hs = self.path.heights
-        for m in self.marks:
-            if not 0 < m < len(hs) - 1:
-                raise ValueError(f"mark {m} is not an interior vertex")
-            if hs[m] != 0:
-                raise ValueError(f"mark {m} sits at height {hs[m]}, not on ground")
-
-
 def render_ascii(p: Path) -> str:
     """Fixed-grid ASCII picture of a path.
 

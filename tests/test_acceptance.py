@@ -25,13 +25,12 @@ from pathbij import (
     in_class_a,
     in_class_b,
     indec_census,
-    map_indecomposable_below,
     parse_bfile,
     parse_path,
     peak_apexes,
     phi,
     phi_inverse,
-    trace_stages,
+    trace_components,
 )
 from pathbij.cli import main
 
@@ -59,7 +58,7 @@ def test_criterion_1_worked_example_golden():
 def test_criterion_2_below_component_golden():
     p = parse_path("DDUDDUUU")
     t0 = time.perf_counter()
-    image = map_indecomposable_below(p)
+    image = phi(p)
     back = phi_inverse(image)
     elapsed = time.perf_counter() - t0
     assert image.steps == "UFUFDD"
@@ -74,7 +73,7 @@ def test_criterion_3_stage_trace_golden():
     block swap, so the flattened tail reads F,U,F,D rather than a second
     trailing U,U,D,D hump, which would contradict the one-peak guarantee)."""
     t0 = time.perf_counter()
-    trace = trace_stages(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"), "forward")
+    (trace,) = trace_components(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"), "forward")
     elapsed = time.perf_counter() - t0
     stages = trace.stages
     assert [(s.label, s.path.steps) for s in stages[:5]] == [

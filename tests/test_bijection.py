@@ -2,40 +2,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathbij import (
-    FlatNotAtHeightOne,
     InverseDomainError,
-    MarkNotContractible,
-    MarkedPath,
     NotInClass,
     Path,
-    PreconditionViolated,
-    UnknownApex,
     components,
-    contract_marks,
     enumerate_class_a,
     enumerate_class_b,
-    expand_flats,
-    flatten_peaks,
-    flip_marked,
     in_class_a,
     in_class_b,
-    interchange,
     is_indecomposable,
-    landmarks,
-    map_indecomposable_above,
-    map_indecomposable_below,
     parse_path,
     peak_apexes,
     phi,
     phi_inverse,
-    recover_marks,
     reflect,
-    reverse_interchange,
     trace_components,
-    trace_stages,
-    unflatten_flats,
-    unmap_indecomposable,
 )
+from pathbij.bijection import _ABOVE_STAGES
 
 
 def class_a_paths(max_size=5):
@@ -88,187 +71,85 @@ def above_components(max_size):
                 yield p
 
 
-def test_flatten_peaks_examples():
-    assert flatten_peaks(parse_path("UUDUUDDD")).steps == "UFUFDD"
-    assert flatten_peaks(parse_path("UDUUDUUDDUUUDDDDUDUUDD"), keep={7}).steps == "FUFUUDDUUFDDDFUFD"
-    assert flatten_peaks(parse_path("UFD")).steps == "UFD"
+def trace_one(component, direction="forward"):
+    (trace,) = trace_components(component, direction)
+    return trace
 
 
-def test_flatten_peaks_rejects_non_apex():
-    with pytest.raises(UnknownApex):
-        flatten_peaks(parse_path("UUDD"), keep={1})
+# Per-stage goldens, keyed by the forward label of each row of the stage table:
+# (input, annotations in, output, annotations out) of the forward kernel.
+STAGE_GOLDENS = {
+    "expand-flats": [
+        ("UUDDUFUUDUDDUDDUDUUDD", {}, "UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})}),
+        ("UUDFD", {}, "UUDDUD", {"marks": frozenset({4})}),
+        ("UDUD", {}, "UDUD", {"marks": frozenset()}),
+        ("UD", {}, "UD", {"marks": frozenset()}),
+    ],
+    "flip-components": [
+        (
+            "UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})},
+            "DDUUUDDDDUDUUDUUUDUUDD", {"v1": 9, "v2": 16},
+        ),
+        ("UUDDUD", {"marks": frozenset({4})}, "DDUUDU", {"v1": 2, "v2": 6}),
+        ("UD", {"marks": frozenset()}, "DU", {"v1": 1, "v2": 2}),
+    ],
+    "interchange": [
+        ("DDUUUDDDDUDUUDUUUDUUDD", {"v1": 9, "v2": 16}, "UDUUDUUDDUUUDDDDUDUUDD", {"w": 7}),
+        ("DDUUDU", {"v1": 2, "v2": 6}, "UUDUDD", {"w": 4}),
+        ("DU", {"v1": 1, "v2": 2}, "UD", {"w": 1}),
+    ],
+    "flatten-peaks": [
+        ("UDUUDUUDDUUUDDDDUDUUDD", {"w": 7}, "FUFUUDDUUFDDDFUFD", {}),
+        ("UUDUDD", {"w": 4}, "UFUDD", {}),
+        ("UD", {"w": 1}, "UD", {}),
+    ],
+}
 
 
-def test_unflatten_flats_examples():
-    assert unflatten_flats(parse_path("UFUFDD")).steps == "UUDUUDDD"
-    assert unflatten_flats(parse_path("F")).steps == "UD"
-    assert unflatten_flats(parse_path("UUDD")).steps == "UUDD"
+@pytest.mark.parametrize("row", _ABOVE_STAGES, ids=[row[0] for row in _ABOVE_STAGES])
+def test_stage_kernels(row):
+    label, forward, _, inverse = row
+    for steps, ann, out, out_ann in STAGE_GOLDENS[label]:
+        assert forward(steps, ann) == (out, out_ann)
+        back, back_ann = inverse(out, out_ann)
+        assert back == steps
+        # the inverse recovers whatever annotations the forward kernel read
+        assert back_ann.items() <= ann.items()
 
 
-def test_flatten_unflatten_laws():
-    for n in range(1, 6):
-        for q in enumerate_class_b(n):
-            if "F" not in q.steps:  # Dyck path
-                flat = flatten_peaks(q)
-                assert peak_apexes(flat) == []
-                assert unflatten_flats(flat) == q
-            if not peak_apexes(q):  # peak-free Schroeder path
-                assert flatten_peaks(unflatten_flats(q)) == q
+INVERSE_KERNELS = {row[2]: row[3] for row in _ABOVE_STAGES}
 
 
-def test_map_indecomposable_below_examples():
-    assert map_indecomposable_below(parse_path("DDUDDUUU")).steps == "UFUFDD"
-    assert map_indecomposable_below(parse_path("DU")).steps == "F"
-    assert map_indecomposable_below(parse_path("DDUU")).steps == "UFD"
+@pytest.mark.parametrize(
+    "label,steps,ann,message",
+    [
+        ("contract-marks", "UDDU", {"marks": frozenset({2})}, "vertex 2 is not between"),
+        ("recover-marks", "FDU", {}, "nonempty grand Dyck path"),
+        ("recover-marks", "UDDU", {}, "first component must lie below ground"),
+        ("reverse-interchange", "UFD", {"w": 1}, "expected a Dyck path"),
+        ("reverse-interchange", "UUDD", {"w": 1}, "vertex 1 is not a peak apex"),
+    ],
+    ids=["no-valley", "flatstep", "starts-above", "not-dyck", "not-apex"],
+)
+def test_inverse_kernels_reject_values_outside_the_image(label, steps, ann, message):
+    with pytest.raises(InverseDomainError, match=message):
+        INVERSE_KERNELS[label](steps, ann)
 
 
-@pytest.mark.parametrize("bad", ["", "UD", "DUDU", "UUDD", "DUU"])
-def test_map_indecomposable_below_domain(bad):
-    with pytest.raises(PreconditionViolated):
-        map_indecomposable_below(parse_path(bad))
-
-
-def test_expand_flats_examples():
-    mp = expand_flats(parse_path("UUDDUFUUDUDDUDDUDUUDD"))
-    assert mp.path.steps == "UUDDUDUUUDUDDUDDUDUUDD"
-    assert mp.marks == {6}
-
-    mp = expand_flats(parse_path("UUDFD"))
-    assert mp.path.steps == "UUDDUD"
-    assert mp.marks == {4}
-
-    mp = expand_flats(parse_path("UD"))
-    assert mp.path.steps == "UD"
-    assert mp.marks == frozenset()
-
-
-def test_expand_flats_requires_height_one():
-    with pytest.raises(FlatNotAtHeightOne):
-        expand_flats(parse_path("F"))
-    with pytest.raises(FlatNotAtHeightOne):
-        expand_flats(parse_path("UUFDD"))
-
-
-def test_contract_marks_examples():
-    assert contract_marks(MarkedPath(parse_path("UUDDUDUUUDUDDUDDUDUUDD"), frozenset({6}))).steps == "UUDDUFUUDUDDUDDUDUUDD"
-    assert contract_marks(MarkedPath(parse_path("UDUD"), frozenset())).steps == "UDUD"
-    assert contract_marks(MarkedPath(parse_path("UUDDUD"), frozenset({4}))).steps == "UUDFD"
-
-
-def test_contract_marks_requires_valley():
-    with pytest.raises(MarkNotContractible):
-        contract_marks(MarkedPath(parse_path("UDDU"), frozenset({2})))
-
-
-def test_flip_marked_examples():
-    assert flip_marked(MarkedPath(parse_path("UUDDUDUUUDUDDUDDUDUUDD"), frozenset({6}))).steps == "DDUUUDDDDUDUUDUUUDUUDD"
-    assert flip_marked(MarkedPath(parse_path("UUDDUD"), frozenset({4}))).steps == "DDUUDU"
-    assert flip_marked(MarkedPath(parse_path("UD"), frozenset())).steps == "DU"
-
-
-def test_flip_marked_domain():
-    with pytest.raises(PreconditionViolated):
-        flip_marked(MarkedPath(parse_path(""), frozenset()))
-    with pytest.raises(PreconditionViolated):
-        flip_marked(MarkedPath(parse_path("UFD"), frozenset()))
-
-
-def test_recover_marks_inverts_flip():
-    for n in range(1, 6):
-        for p in above_components(n):
-            marked = expand_flats(Path(p.steps[1:-1]))
-            if not marked.path.steps:
-                continue
-            assert recover_marks(flip_marked(marked)) == marked
-
-
-def test_recover_marks_domain():
-    with pytest.raises(InverseDomainError):
-        recover_marks(parse_path("UDDU"))  # first component above ground
-    with pytest.raises(InverseDomainError):
-        recover_marks(parse_path("FDU"))  # contains a flatstep
-
-
-def test_landmarks_examples():
-    assert landmarks(parse_path("DDUUUDDDDUDUUDUUUDUUDD")) == (9, 16)
-    assert landmarks(parse_path("DDUUDU")) == (2, 6)
-    assert landmarks(parse_path("DU")) == (1, 2)
-
-
-def test_landmarks_domain():
-    with pytest.raises(PreconditionViolated):
-        landmarks(parse_path("UDDU"))
-    with pytest.raises(PreconditionViolated):
-        landmarks(parse_path(""))
-
-
-def test_interchange_examples():
-    path, w = interchange(parse_path("DDUUUDDDDUDUUDUUUDUUDD"), 9, 16)
-    assert path.steps == "UDUUDUUDDUUUDDDDUDUUDD"
-    assert w == 7
-
-    path, w = interchange(parse_path("DDUUDU"), 2, 6)
-    assert path.steps == "UUDUDD"
-    assert w == 4
-
-    path, w = interchange(parse_path("DU"), 1, 2)
-    assert path.steps == "UD"
-    assert w == 1
-
-
-def test_interchange_requires_landmarks():
-    with pytest.raises(PreconditionViolated):
-        interchange(parse_path("DDUUDU"), 2, 4)
-
-
-def test_interchange_output_structure():
-    # nonnegative, with a kept peak at w, for every above component
-    for p in above_components(6):
-        inner = Path(p.steps[1:-1])
-        if not inner.steps:
-            continue
-        flipped = flip_marked(expand_flats(inner))
-        d, w = interchange(flipped, *landmarks(flipped))
-        assert d.min_height >= 0
-        assert w in peak_apexes(d)
-        assert reverse_interchange(d, w) == flipped
-
-
-def test_reverse_interchange_examples():
-    assert reverse_interchange(parse_path("UUDUDD"), 4).steps == "DDUUDU"
-    assert reverse_interchange(parse_path("UD"), 1).steps == "DU"
-
-
-def test_reverse_interchange_domain():
-    with pytest.raises(InverseDomainError):
-        reverse_interchange(parse_path("UUDD"), 1)  # not an apex
-    with pytest.raises(InverseDomainError):
-        reverse_interchange(parse_path("UFD"), 1)  # not a Dyck path
-
-
-def test_map_indecomposable_above_examples():
-    assert map_indecomposable_above(parse_path("UUUDDUFUUDUDDUDDUDUUDDD")).steps == "UFUFUUDDUUFDDDFUFDD"
-    assert map_indecomposable_above(parse_path("UUUDFDD")).steps == "UUFUDDD"
-    assert map_indecomposable_above(parse_path("UD")).steps == "UD"
-
-
-@pytest.mark.parametrize("bad", ["", "DU", "UDUD", "UFD", "UU"])
-def test_map_indecomposable_above_domain(bad):
-    with pytest.raises(PreconditionViolated):
-        map_indecomposable_above(parse_path(bad))
-
-
-def test_unmap_indecomposable_examples():
-    assert unmap_indecomposable(parse_path("UFUFDD")).steps == "DDUDDUUU"
-    assert unmap_indecomposable(parse_path("UUFUDDD")).steps == "UUUDFDD"
-    assert unmap_indecomposable(parse_path("F")).steps == "DU"
-    assert unmap_indecomposable(parse_path("UD")).steps == "UD"
-
-
-@pytest.mark.parametrize("bad", ["", "UDUD", "UUDUDD", "DU"])
-def test_unmap_indecomposable_domain(bad):
-    with pytest.raises(PreconditionViolated):
-        unmap_indecomposable(parse_path(bad))
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        ("DDUDDUUU", "UFUFDD"),
+        ("DDUU", "UFD"),
+        ("DU", "F"),
+        ("UUUDDUFUUDUDDUDDUDUUDDD", "UFUFUUDDUUFDDDFUFDD"),
+        ("UUUDFDD", "UUFUDDD"),
+        ("UD", "UD"),
+    ],
+)
+def test_single_component_goldens(p, q):
+    assert phi(parse_path(p)).steps == q
+    assert phi_inverse(parse_path(q)).steps == p
 
 
 def test_phi_worked_example_golden():
@@ -327,9 +208,9 @@ def test_properties_beyond_exhaustive_sizes(case):
     p_parts, q_parts = components(p).paths, components(q).paths
     assert [c.size for c in p_parts] == [c.size for c in q_parts]
     assert [len(peak_apexes(c)) for c in q_parts] == [int(above) for above in sides]
-    forward = [trace_stages(c, "forward").stages[-1].path.steps for c in p_parts]
+    forward = [trace_one(c, "forward").stages[-1].path.steps for c in p_parts]
     assert "".join(forward) == q.steps
-    inverse = [trace_stages(c, "inverse").stages[-1].path.steps for c in q_parts]
+    inverse = [trace_one(c, "inverse").stages[-1].path.steps for c in q_parts]
     assert "".join(inverse) == p.steps
 
 
@@ -362,7 +243,7 @@ def test_trace_forward_worked_stages():
     F,U,F,D.  A rendering of this pipeline whose tail keeps a second trailing
     U,U,D,D hump would contradict the exactly-one-peak output guarantee.
     """
-    trace = trace_stages(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"), "forward")
+    trace = trace_one(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"), "forward")
     expected = [
         ("input", "UUUDDUFUUDUDDUDDUDUUDDD"),
         ("strip-ends", "UUDDUFUUDUDDUDDUDUUDD"),
@@ -381,12 +262,12 @@ def test_trace_forward_worked_stages():
 
 
 def test_trace_forward_below_component():
-    trace = trace_stages(parse_path("DU"), "forward")
+    trace = trace_one(parse_path("DU"), "forward")
     assert [(s.label, s.path.steps) for s in trace.stages] == [("input", "DU"), ("output", "F")]
 
 
 def test_trace_forward_degenerate():
-    trace = trace_stages(parse_path("UD"), "forward")
+    trace = trace_one(parse_path("UD"), "forward")
     labels = [s.label for s in trace.stages]
     assert labels == [
         "input", "strip-ends", "expand-flats", "flip-components",
@@ -396,31 +277,22 @@ def test_trace_forward_degenerate():
 
 
 def test_trace_inverse_roundtrips_forward():
-    for p in above_components(5):
-        fwd = trace_stages(p, "forward")
-        inv = trace_stages(fwd.stages[-1].path, "inverse")
-        assert inv.stages[-1].path == p
-        # the inverse pipeline walks the same intermediate paths backwards
-        if len(p) > 2:
-            assert inv.stages[2].path == fwd.stages[4].path
-            assert inv.stages[2].w == fwd.stages[4].w
-            assert inv.stages[3].path == fwd.stages[3].path
-            assert inv.stages[4].marks == fwd.stages[2].marks
-
-
-def test_trace_rejects_decomposable_or_misclassed():
-    with pytest.raises(NotInClass):
-        trace_stages(parse_path("UDUD"), "forward")
-    with pytest.raises(NotInClass):
-        trace_stages(parse_path("F"), "forward")
-    with pytest.raises(NotInClass):
-        trace_stages(parse_path("DU"), "inverse")
-    with pytest.raises(ValueError):
-        trace_stages(parse_path("UD"), "sideways")
+    """The inverse trace lists the forward trace's values in reverse, with the same marks and w."""
+    for p in above_components(6):
+        fwd = trace_one(p, "forward")
+        inv = trace_one(fwd.stages[-1].path, "inverse")
+        assert [(s.path, s.marks, s.w) for s in inv.stages] == [
+            (s.path, s.marks, s.w) for s in reversed(fwd.stages)
+        ]
+        swapped = fwd.stages[4]
+        assert swapped.label == "interchange"
+        if swapped.path.steps:
+            assert swapped.path.min_height >= 0
+            assert swapped.w in peak_apexes(swapped.path)
 
 
 def test_trace_serialization():
-    lines = trace_stages(parse_path("UUUDFDD"), "forward").lines()
+    lines = trace_one(parse_path("UUUDFDD"), "forward").lines()
     assert lines == [
         "input: UUUDFDD",
         "strip-ends: UUDFD",
@@ -439,12 +311,17 @@ def test_trace_components_agree_with_the_maps():
             for x, y, direction in ((p, q, "forward"), (q, p, "inverse")):
                 traces = trace_components(x, direction)
                 parts = components(x).paths
-                assert traces == tuple(trace_stages(c, direction) for c in parts)
+                assert traces == tuple(trace_one(c, direction) for c in parts)
                 assert "".join(t.stages[-1].path.steps for t in traces) == y.steps
 
 
 def test_trace_components_check_like_the_maps():
-    for f, bad, direction in ((phi, "UUDDUU", "forward"), (phi_inverse, "UUDUDD", "inverse")):
+    for f, bad, direction in (
+        (phi, "UUDDUU", "forward"),
+        (phi, "F", "forward"),
+        (phi_inverse, "UUDUDD", "inverse"),
+        (phi_inverse, "DU", "inverse"),
+    ):
         with pytest.raises(NotInClass) as mapped:
             f(parse_path(bad))
         with pytest.raises(NotInClass) as traced:

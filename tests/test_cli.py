@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import (
@@ -88,6 +89,23 @@ def test_map_trace_multi_component(capsys):
     assert "output: F" in lines
     assert lines[-1] == "FUD"
 
+
+
+def test_unmap_inverse_stage_failure_exits_one(capsys, monkeypatch):
+    # A recover-marks stage that shifts every mark makes contract-marks see no valley.
+    table = list(pathbij.bijection._ABOVE_STAGES)
+    recover = table[1][3]
+
+    def shifted(g, ann):
+        steps, ann = recover(g, ann)
+        return steps, {"marks": frozenset(m + 1 for m in ann["marks"])}
+
+    table[1] = (*table[1][:3], shifted)
+    monkeypatch.setattr(pathbij.bijection, "_ABOVE_STAGES", tuple(table))
+    code, out, err = run(["unmap", "--path", "UUFUDDD"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: vertex 5 is not between a downstep and an upstep\n"
 
 def test_map_rejects_invalid_characters(capsys):
     code, _, err = run(["map", "--path", "UXD"], capsys)
@@ -383,6 +401,16 @@ def test_oeis_malformed_file(tmp_path, capsys):
     assert code == 2
     assert "malformed" in err
 
+
+
+def test_oeis_undecodable_file(tmp_path, capsys):
+    bfile = tmp_path / "b_test.txt"
+    bfile.write_bytes(b"\xff\xfe0 1\n")
+    code, out, err = run(["oeis", "--bfile", str(bfile), "--class", "A"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bfile}: ")
+    assert "Traceback" not in err
 
 @pytest.mark.parametrize(
     "argv",

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from pathbij import (
     Classification,
     InvalidCharacter,
-    MarkedPath,
     NotGroundTerminated,
     Path,
     classify,
@@ -159,17 +158,6 @@ def test_class_b_holds_componentwise():
     bad = parse_path("UDUUDUDD")
     assert not in_class_b(bad)
     assert any(not in_class_b(c.path) for c in components(bad).parts)
-
-
-def test_marked_path_invariants():
-    MarkedPath(parse_path("UUDDUD"), frozenset({4}))
-    MarkedPath(parse_path(""), frozenset())
-    with pytest.raises(ValueError):
-        MarkedPath(parse_path("UUDD"), frozenset({2}))  # height 2, not ground
-    with pytest.raises(ValueError):
-        MarkedPath(parse_path("UD"), frozenset({2}))  # endpoint, not interior
-    with pytest.raises(ValueError):
-        MarkedPath(parse_path("UD"), frozenset({0}))
 
 
 def test_path_ordering_is_ascii():
