@@ -18,7 +18,7 @@ from pathbij import (
     reflect,
     trace_components,
 )
-from pathbij.bijection import _ABOVE_STAGES
+from pathbij.bijection import _ABOVE_STAGES, _flatten
 
 
 def class_a_paths(max_size=5):
@@ -117,39 +117,152 @@ def test_stage_kernels(row):
         assert back_ann.items() <= ann.items()
 
 
+FORWARD_KERNELS = {row[0]: row[1] for row in _ABOVE_STAGES}
 INVERSE_KERNELS = {row[2]: row[3] for row in _ABOVE_STAGES}
 
 
-@pytest.mark.parametrize(
-    "label,steps,ann,message",
-    [
-        ("contract-marks", "UDDU", {"marks": frozenset({2})}, "vertex 2 is not between"),
-        ("recover-marks", "FDU", {}, "nonempty grand Dyck path"),
-        ("recover-marks", "UDDU", {}, "first component must lie below ground"),
-        ("reverse-interchange", "UFD", {"w": 1}, "expected a Dyck path"),
-        ("reverse-interchange", "UUDD", {"w": 1}, "vertex 1 is not a peak apex"),
-    ],
-    ids=["no-valley", "flatstep", "starts-above", "not-dyck", "not-apex"],
-)
-def test_inverse_kernels_reject_values_outside_the_image(label, steps, ann, message):
-    with pytest.raises(InverseDomainError, match=message):
-        INVERSE_KERNELS[label](steps, ann)
+def test_flatten_peaks_examples():
+    flatten = FORWARD_KERNELS["flatten-peaks"]
+    assert flatten("UDUUDUUDDUUUDDDDUDUUDD", {"w": 7}) == ("FUFUUDDUUFDDDFUFD", {})
+    assert flatten("UUDUDD", {"w": 4}) == ("UFUDD", {})
+    # the below-ground move keeps no peak
+    assert _flatten("UUDUUDDD") == "UFUFDD"
+    assert _flatten("UFD") == "UFD"
 
 
-@pytest.mark.parametrize(
-    "p,q",
-    [
-        ("DDUDDUUU", "UFUFDD"),
-        ("DDUU", "UFD"),
-        ("DU", "F"),
-        ("UUUDDUFUUDUDDUDDUDUUDDD", "UFUFUUDDUUFDDDFUFDD"),
-        ("UUUDFDD", "UUFUDDD"),
-        ("UD", "UD"),
-    ],
-)
-def test_single_component_goldens(p, q):
-    assert phi(parse_path(p)).steps == q
-    assert phi_inverse(parse_path(q)).steps == p
+def test_unflatten_flats_examples():
+    unflatten = INVERSE_KERNELS["unflatten-flats"]
+    assert unflatten("FUFUUDDUUFDDDFUFD", {}) == ("UDUUDUUDDUUUDDDDUDUUDD", {"w": 7})
+    assert unflatten("UFUDD", {}) == ("UUDUDD", {"w": 4})
+    assert unflatten("UUDD", {}) == ("UUDD", {"w": 2})
+    # peak-free components are unflattened and mirrored below ground
+    assert phi_inverse(parse_path("UFUFDD")).steps == "DDUDDUUU"
+    assert phi_inverse(parse_path("F")).steps == "DU"
+
+
+def test_flatten_unflatten_laws():
+    flatten = FORWARD_KERNELS["flatten-peaks"]
+    unflatten = INVERSE_KERNELS["unflatten-flats"]
+    for n in range(1, 6):
+        for q in enumerate_class_b(n):
+            if "F" not in q.steps:  # Dyck path
+                assert peak_apexes(Path(_flatten(q.steps))) == []
+                for w in peak_apexes(q):
+                    flat, _ = flatten(q.steps, {"w": w})
+                    assert len(peak_apexes(Path(flat))) == 1
+                    assert unflatten(flat, {}) == (q.steps, {"w": w})
+            if not peak_apexes(q):  # peak-free Schroeder path
+                assert _flatten(q.steps.replace("F", "UD")) == q.steps
+
+
+def test_map_indecomposable_below_examples():
+    assert phi(parse_path("DDUDDUUU")).steps == "UFUFDD"
+    assert phi(parse_path("DU")).steps == "F"
+    assert phi(parse_path("DDUU")).steps == "UFD"
+
+
+def test_expand_flats_examples():
+    expand = FORWARD_KERNELS["expand-flats"]
+    assert expand("UUDDUFUUDUDDUDDUDUUDD", {}) == (
+        "UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})}
+    )
+    assert expand("UUDFD", {}) == ("UUDDUD", {"marks": frozenset({4})})
+    assert expand("UD", {}) == ("UD", {"marks": frozenset()})
+
+
+def test_contract_marks_examples():
+    contract = INVERSE_KERNELS["contract-marks"]
+    assert contract("UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})}) == ("UUDDUFUUDUDDUDDUDUUDD", {})
+    assert contract("UDUD", {"marks": frozenset()}) == ("UDUD", {})
+    assert contract("UUDDUD", {"marks": frozenset({4})}) == ("UUDFD", {})
+
+
+def test_contract_marks_requires_valley():
+    with pytest.raises(InverseDomainError, match="vertex 2 is not between"):
+        INVERSE_KERNELS["contract-marks"]("UDDU", {"marks": frozenset({2})})
+
+
+def test_flip_marked_examples():
+    flip = FORWARD_KERNELS["flip-components"]
+    assert flip("UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})})[0] == "DDUUUDDDDUDUUDUUUDUUDD"
+    assert flip("UUDDUD", {"marks": frozenset({4})})[0] == "DDUUDU"
+    assert flip("UD", {"marks": frozenset()})[0] == "DU"
+
+
+def test_recover_marks_inverts_flip():
+    expand, flip = FORWARD_KERNELS["expand-flats"], FORWARD_KERNELS["flip-components"]
+    recover = INVERSE_KERNELS["recover-marks"]
+    for n in range(1, 6):
+        for p in above_components(n):
+            marked, ann = expand(p.steps[1:-1], {})
+            if not marked:
+                continue
+            assert recover(*flip(marked, ann)) == (marked, ann)
+
+
+def test_recover_marks_domain():
+    recover = INVERSE_KERNELS["recover-marks"]
+    with pytest.raises(InverseDomainError, match="first component must lie below ground"):
+        recover("UDDU", {})
+    with pytest.raises(InverseDomainError, match="nonempty grand Dyck path"):
+        recover("FDU", {})  # contains a flatstep
+
+
+def test_landmarks_examples():
+    # the flip-components stage annotates its output with the interchange landmarks
+    flip = FORWARD_KERNELS["flip-components"]
+    assert flip("UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})})[1] == {"v1": 9, "v2": 16}
+    assert flip("UUDDUD", {"marks": frozenset({4})})[1] == {"v1": 2, "v2": 6}
+    assert flip("UD", {"marks": frozenset()})[1] == {"v1": 1, "v2": 2}
+
+
+def test_interchange_examples():
+    swap = FORWARD_KERNELS["interchange"]
+    assert swap("DDUUUDDDDUDUUDUUUDUUDD", {"v1": 9, "v2": 16}) == ("UDUUDUUDDUUUDDDDUDUUDD", {"w": 7})
+    assert swap("DDUUDU", {"v1": 2, "v2": 6}) == ("UUDUDD", {"w": 4})
+    assert swap("DU", {"v1": 1, "v2": 2}) == ("UD", {"w": 1})
+
+
+def test_interchange_output_structure():
+    # nonnegative, with a kept peak at w, for every above component
+    expand, flip = FORWARD_KERNELS["expand-flats"], FORWARD_KERNELS["flip-components"]
+    swap, unswap = FORWARD_KERNELS["interchange"], INVERSE_KERNELS["reverse-interchange"]
+    for p in above_components(6):
+        inner = p.steps[1:-1]
+        if not inner:
+            continue
+        flipped, ann = flip(*expand(inner, {}))
+        d, out = swap(flipped, ann)
+        assert Path(d).min_height >= 0
+        assert out["w"] in peak_apexes(Path(d))
+        assert unswap(d, out) == (flipped, {})
+
+
+def test_reverse_interchange_examples():
+    unswap = INVERSE_KERNELS["reverse-interchange"]
+    assert unswap("UUDUDD", {"w": 4}) == ("DDUUDU", {})
+    assert unswap("UD", {"w": 1}) == ("DU", {})
+
+
+def test_reverse_interchange_domain():
+    unswap = INVERSE_KERNELS["reverse-interchange"]
+    with pytest.raises(InverseDomainError, match="vertex 1 is not a peak apex"):
+        unswap("UUDD", {"w": 1})
+    with pytest.raises(InverseDomainError, match="expected a Dyck path"):
+        unswap("UFD", {"w": 1})
+
+
+def test_map_indecomposable_above_examples():
+    assert phi(parse_path("UUUDDUFUUDUDDUDDUDUUDDD")).steps == "UFUFUUDDUUFDDDFUFDD"
+    assert phi(parse_path("UUUDFDD")).steps == "UUFUDDD"
+    assert phi(parse_path("UD")).steps == "UD"
+
+
+def test_unmap_indecomposable_examples():
+    assert phi_inverse(parse_path("UFUFDD")).steps == "DDUDDUUU"
+    assert phi_inverse(parse_path("UUFUDDD")).steps == "UUUDFDD"
+    assert phi_inverse(parse_path("F")).steps == "DU"
+    assert phi_inverse(parse_path("UD")).steps == "UD"
 
 
 def test_phi_worked_example_golden():
