@@ -37,14 +37,12 @@ from .oeis import (
     RangeNotCovered,
     SequenceTable,
     compare_sequence,
-    format_bfile,
     parse_bfile,
 )
 from .paths import (
     DOWN,
     FLAT,
     UP,
-    Classification,
     Component,
     ComponentView,
     InvalidCharacter,
@@ -52,7 +50,6 @@ from .paths import (
     Path,
     PathbijError,
     Step,
-    classify,
     components,
     concat,
     in_class_a,
@@ -78,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Census",
-    "Classification",
     "ComparisonReport",
     "Component",
     "ComponentView",
@@ -103,7 +99,6 @@ __all__ = [
     "StageTrace",
     "Step",
     "UP",
-    "classify",
     "compare_sequence",
     "components",
     "concat",
@@ -116,7 +111,6 @@ __all__ = [
     "count_series",
     "enumerate_class_a",
     "enumerate_class_b",
-    "format_bfile",
     "in_class_a",
     "in_class_b",
     "indec_census",

@@ -17,12 +17,12 @@ each indecomposable component independently:
 
 Each stage is defined once, as a private kernel on step strings paired with
 its inverse in ``_ABOVE_STAGES``; ``_run`` runs the table forwards, backwards,
-and with stage recording for the trace.  ``phi``, ``phi_inverse`` and
-``trace_components`` check class membership once, so the kernels re-check
-nothing it implies.  The inverse kernels check that their input lies in the
-forward stage's image and raise ``InverseDomainError`` otherwise; for genuine
-class members those checks never fire, which is exactly the reversibility
-claim the test suite verifies exhaustively.
+and with stage recording for the trace.  ``map_word`` (under ``phi`` and
+``phi_inverse``) and ``trace_components`` check class membership once, so the
+kernels re-check nothing it implies.  The inverse kernels check that their
+input lies in the forward stage's image and raise ``InverseDomainError``
+otherwise; for genuine class members those checks never fire, which is
+exactly the reversibility claim the test suite verifies exhaustively.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .paths import (
     UP,
     Path,
     PathbijError,
-    in_class_a,
-    in_class_b,
+    class_a_word,
+    class_b_word,
     split_components,
     step_heights,
 )
@@ -222,14 +222,29 @@ class StageTrace:
         return "\n".join(self.lines())
 
 
-def _components(p: Path, inverse: bool) -> list[str]:
+def _components(steps: str, inverse: bool) -> list[str]:
     """The components of a member of the map's domain, checked once here."""
+    hs = step_heights(steps)
     if inverse:
-        if not in_class_b(p):
+        if not class_b_word(steps, hs):
             raise NotInClass("input is not a Schroeder path with at most one peak per component")
-    elif not in_class_a(p):
+    elif not class_a_word(steps, hs):
         raise NotInClass("input is not a grand Schroeder path with all flatsteps on y=2")
-    return [s for _, s in split_components(p.steps, p.heights)]
+    return [s for _, s in split_components(steps, hs)]
+
+
+def map_word(steps: str, inverse: bool = False, memo: dict[str, str] | None = None) -> str:
+    """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time.
+
+    A caller's ``memo``, one per direction, keeps each component word's image.
+    """
+    parts = _components(steps, inverse)
+    if memo is None:
+        return "".join(_run(s, inverse) for s in parts)
+    for s in parts:
+        if s not in memo:
+            memo[s] = _run(s, inverse)
+    return "".join(map(memo.__getitem__, parts))
 
 
 def phi(p: Path) -> Path:
@@ -238,12 +253,12 @@ def phi(p: Path) -> Path:
     Preserves size and the component size sequence; below-ground components
     map to peak-free components and above-ground ones to one-peak components.
     """
-    return Path("".join(_run(s, False) for s in _components(p, False)))
+    return Path(map_word(p.steps, False))
 
 
 def phi_inverse(q: Path) -> Path:
     """Inverse bijection; phi_inverse(phi(p)) == p and phi(phi_inverse(q)) == q."""
-    return Path("".join(_run(s, True) for s in _components(q, True)))
+    return Path(map_word(q.steps, True))
 
 
 def trace_components(p: Path, direction: Direction = "forward") -> tuple[StageTrace, ...]:
@@ -258,7 +273,7 @@ def trace_components(p: Path, direction: Direction = "forward") -> tuple[StageTr
         raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
     inverse = direction == "inverse"
     traces = []
-    for s in _components(p, inverse):
+    for s in _components(p.steps, inverse):
         stages: list[Stage] = []
         _run(s, inverse, stages)
         traces.append(StageTrace(direction, tuple(stages)))

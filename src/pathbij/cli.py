@@ -9,6 +9,7 @@ inverse-stage domain failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 from typing import Sequence
@@ -16,17 +17,18 @@ from typing import Sequence
 from .bijection import (
     Direction,
     InverseDomainError,
+    map_word,
     phi,
     phi_inverse,
     trace_components,
 )
 from .families import (
     census_of,
+    class_a_words,
+    class_b_words,
     count_class_a_series,
     count_class_b_series,
     count_series,
-    enumerate_class_a,
-    enumerate_class_b,
 )
 from .oeis import compare_sequence, parse_bfile
 from .paths import (
@@ -35,9 +37,11 @@ from .paths import (
     UP,
     Path,
     PathbijError,
+    class_b_word,
     parse_path,
     render_ascii,
     split_components,
+    step_heights,
 )
 from .permutations import count_avoiders, parse_patterns
 
@@ -127,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.cls == "A":
-        paths = enumerate_class_a(args.size, 2 if args.flat_line is None else args.flat_line)
+        words = class_a_words(args.size, 2 if args.flat_line is None else args.flat_line)
     else:
         if args.flat_line is not None:
             print("error: --flat-line applies to class A only", file=sys.stderr)
             return 2
-        paths = enumerate_class_b(args.size)
-    for p in paths:
-        print(p.steps)
+        words = class_b_words(args.size)
+    for word in words:
+        print(word)
     return 0
 
 
@@ -173,58 +177,91 @@ def cmd_unmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sizes(parts: list[tuple[int, str]]) -> list[int]:
-    return [s.count(UP) + s.count(FLAT) for _, s in parts]
+def _size_of(word: str) -> int:
+    return word.count(UP) + word.count(FLAT)
 
 
 def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list[str]:
-    """All invariant violations at size n, given its two counts (empty = all good)."""
+    """All invariant violations at size n, given its two counts (empty = all good).
+
+    One streamed pass over both classes maps each class-A word forwards and
+    its image backwards through ``map_word``, with one memo per direction for
+    this size, so each distinct component is mapped once each way.  The images
+    are all of B_n by counting: the class-B words are strictly sorted, each of
+    size n and in class B, and there are count_b = |B_n| of them; the forward
+    map has a left inverse on the count_a distinct class-A words; and count_a =
+    count_b.  Only where a premise or another check fails are both classes
+    enumerated again, to compare the sorted images with the class-B words and
+    to run the forward round trip over them.
+    """
+    forward: dict[str, str] = {}
+    backward: dict[str, str] = {}
     problems: list[str] = []
-    a_paths = enumerate_class_a(n)
-    b_paths = enumerate_class_b(n)
-    if count_a != len(a_paths):
-        problems.append(f"count A {count_a} != enumeration {len(a_paths)}")
-    if count_b != len(b_paths):
-        problems.append(f"count B {count_b} != enumeration {len(b_paths)}")
-    if any(q1 >= q2 for q1, q2 in zip(a_paths, a_paths[1:])):
-        problems.append("class A enumeration is not strictly sorted")
-    if any(q1 >= q2 for q1, q2 in zip(b_paths, b_paths[1:])):
-        problems.append("class B enumeration is not strictly sorted")
-    images = []
-    for p in a_paths:
+    a_indec, b_indec = [], []  # single-component words only: few beside the paths
+    len_a, a_sorted, last = 0, True, None
+    for len_a, p in enumerate(class_a_words(n), 1):
+        a_sorted = a_sorted and (last is None or last < p)
+        last = p
+        p_parts = split_components(p, step_heights(p))
+        # no other word of size n holds a component of size n: map it without a memo
+        memos = (forward, backward) if len(p_parts) > 1 else (None, None)
+        if census and len(p_parts) == 1:
+            a_indec.append(p)
         try:
-            q = phi(p)
-            images.append(q)
-            if q.size != n:
-                problems.append(f"size changed: {p.steps} -> {q.steps}")
+            q = map_word(p, False, memos[0])
+            if _size_of(q) != n:
+                problems.append(f"size changed: {p} -> {q}")
                 continue
-            p_parts = split_components(p.steps, p.heights)
-            q_parts = split_components(q.steps, q.heights)
-            if q.end_height != 0 or _sizes(p_parts) != _sizes(q_parts):
-                problems.append(f"component sizes changed: {p.steps} -> {q.steps}")
+            q_hs = step_heights(q)
+            q_parts = split_components(q, q_hs)
+            sizes = [_size_of(c) for _, c in p_parts]
+            if q_hs[-1] != 0 or sizes != [_size_of(c) for _, c in q_parts]:
+                problems.append(f"component sizes changed: {p} -> {q}")
                 continue
             # below-ground components map to peak-free ones, above-ground ones to one peak
             if any(
                 cq.count(UP + DOWN) != (0 if cp[0] == DOWN else 1)
                 for (_, cp), (_, cq) in zip(p_parts, q_parts)
             ):
-                problems.append(f"peak structure wrong: {p.steps} -> {q.steps}")
-            if phi_inverse(q) != p:
-                problems.append(f"inverse roundtrip failed for {p.steps}")
+                problems.append(f"peak structure wrong: {p} -> {q}")
+            if map_word(q, True, memos[1]) != p:
+                problems.append(f"inverse roundtrip failed for {p}")
         except PathbijError as exc:
-            problems.append(f"error for {p.steps}: {exc}")
-    if sorted(images) != b_paths:
-        problems.append("image of the forward map differs from the class B enumeration")
-    # With no problem, every q in B is phi(p) for a p with phi_inverse(q) == p: no q can fail.
-    if problems:
-        for q in b_paths:
+            problems.append(f"error for {p}: {exc}")
+    len_b, b_sorted, b_in_class, last = 0, True, True, None
+    for len_b, q in enumerate(class_b_words(n), 1):
+        b_sorted = b_sorted and (last is None or last < q)
+        last = q
+        q_hs = step_heights(q)
+        b_in_class = b_in_class and _size_of(q) == n and class_b_word(q, q_hs)
+        if census and q_hs.count(0) == 2:
+            b_indec.append(q)
+    problems = [
+        message
+        for failed, message in [
+            (count_a != len_a, f"count A {count_a} != enumeration {len_a}"),
+            (count_b != len_b, f"count B {count_b} != enumeration {len_b}"),
+            (not a_sorted, "class A enumeration is not strictly sorted"),
+            (not b_sorted, "class B enumeration is not strictly sorted"),
+        ]
+        if failed
+    ] + problems
+    if problems or not b_in_class or len_a != len_b:
+        images = []
+        for p in class_a_words(n):
+            with contextlib.suppress(PathbijError):
+                images.append(map_word(p, False, forward))
+        b_words = list(class_b_words(n))
+        if sorted(images) != b_words:
+            problems.append("image of the forward map differs from the class B enumeration")
+        for q in b_words:
             try:
-                if phi(phi_inverse(q)) != q:
-                    problems.append(f"forward roundtrip failed for {q.steps}")
+                if map_word(map_word(q, True, backward), False, forward) != q:
+                    problems.append(f"forward roundtrip failed for {q}")
             except PathbijError as exc:
-                problems.append(f"error for {q.steps}: {exc}")
+                problems.append(f"error for {q}: {exc}")
     if census and n >= 1:
-        c = census_of(a_paths, b_paths)
+        c = census_of(a_indec, b_indec)
         if c.below_a != c.nopeak_b or c.above_a != c.onepeak_b:
             problems.append(f"census mismatch: {c}")
     return problems

@@ -1,9 +1,10 @@
 """Exhaustive enumerators and exact counters for the two path families.
 
-The enumerate_* functions walk the step tree depth-first with children in
-D < F < U order, pruning any prefix that cannot return to ground within the
-remaining width, so the output is duplicate-free and ASCII-sorted by
-construction.  The count_class_* functions answer the same cardinality
+The class_*_words generators (which enumerate_* collect as ``Path`` lists)
+walk the step tree depth-first with children in D < F < U order, pruning any
+prefix that cannot return to ground within the remaining width, so the output
+is duplicate-free and ASCII-sorted by construction.  The count_class_*
+functions answer the same cardinality
 questions without enumeration: a column-by-column dynamic program over path
 prefixes with Python's native big integers.  Counting a prefix table once
 gives the counts for every size up to a bound, which is what the *_series
@@ -17,74 +18,61 @@ first-return decompositions; the dynamic programs are its oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .paths import DOWN, FLAT, UP, Path, is_indecomposable, peak_apexes
+from .paths import DOWN, FLAT, UP, Path, is_indecomposable
+
+
+def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
+    """Generate the step words of ``enumerate_class_a(n, flat_line)``, in order."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    # (prefix, height, unused width in half-units); a prefix at height h can
+    # still reach (2n, 0) iff |h| <= rem (parity works out automatically).
+    # Children are pushed in U, F, D order so that they pop in D < F < U order.
+    stack = [("", 0, 2 * n)]
+    while stack:
+        prefix, h, rem = stack.pop()
+        if rem == 0:
+            yield prefix
+            continue
+        if abs(h + 1) < rem:
+            stack.append((prefix + UP, h + 1, rem - 1))
+        if h == flat_line and abs(h) <= rem - 2:
+            stack.append((prefix + FLAT, h, rem - 2))
+        if abs(h - 1) < rem:
+            stack.append((prefix + DOWN, h - 1, rem - 1))
+
+
+def class_b_words(n: int) -> Iterator[str]:
+    """Generate the step words of ``enumerate_class_b(n)``, in order."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    # peak_used tracks whether the open component already spent its peak;
+    # both flags reset when a step lands on ground (component boundary).
+    stack = [("", 0, 2 * n, False, False)]
+    while stack:
+        prefix, h, rem, last_up, peak_used = stack.pop()
+        if rem == 0:
+            yield prefix
+            continue
+        if h + 1 < rem:
+            stack.append((prefix + UP, h + 1, rem - 1, True, peak_used))
+        if h <= rem - 2:
+            stack.append((prefix + FLAT, h, rem - 2, False, peak_used))
+        if h >= 1 and not (last_up and peak_used):
+            peak_used = h > 1 and (peak_used or last_up)
+            stack.append((prefix + DOWN, h - 1, rem - 1, False, peak_used))
 
 
 def enumerate_class_a(n: int, flat_line: int = 2) -> list[Path]:
     """All size-n grand Schroeder paths with every flatstep on y = flat_line, sorted."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    out: list[Path] = []
-    steps: list[str] = []
-
-    # rem is the unused width in half-units; a prefix at height h can still
-    # reach (2n, 0) iff |h| <= rem (parity works out automatically).
-    def extend(h: int, rem: int) -> None:
-        if rem == 0:
-            out.append(Path("".join(steps)))
-            return
-        if abs(h - 1) < rem:
-            steps.append(DOWN)
-            extend(h - 1, rem - 1)
-            steps.pop()
-        if h == flat_line and abs(h) <= rem - 2:
-            steps.append(FLAT)
-            extend(h, rem - 2)
-            steps.pop()
-        if abs(h + 1) < rem:
-            steps.append(UP)
-            extend(h + 1, rem - 1)
-            steps.pop()
-
-    extend(0, 2 * n)
-    del extend  # the closure refers to itself; keeping the cycle would pin ``out``
-    return out
+    return [Path(s) for s in class_a_words(n, flat_line)]
 
 
 def enumerate_class_b(n: int) -> list[Path]:
     """All size-n Schroeder paths with at most one peak per component, sorted."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    out: list[Path] = []
-    steps: list[str] = []
-
-    # peak_used tracks whether the open component already spent its peak;
-    # both flags reset when a step lands on ground (component boundary).
-    def extend(h: int, rem: int, last_up: bool, peak_used: bool) -> None:
-        if rem == 0:
-            out.append(Path("".join(steps)))
-            return
-        if h >= 1 and not (last_up and peak_used):
-            steps.append(DOWN)
-            if h == 1:
-                extend(0, rem - 1, False, False)
-            else:
-                extend(h - 1, rem - 1, False, peak_used or last_up)
-            steps.pop()
-        if h <= rem - 2:
-            steps.append(FLAT)
-            extend(h, rem - 2, False, peak_used)
-            steps.pop()
-        if h + 1 < rem:
-            steps.append(UP)
-            extend(h + 1, rem - 1, True, peak_used)
-            steps.pop()
-
-    extend(0, 2 * n, False, False)
-    del extend  # the closure refers to itself; keeping the cycle would pin ``out``
-    return out
+    return [Path(s) for s in class_b_words(n)]
 
 
 def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:
@@ -184,27 +172,17 @@ class Census(NamedTuple):
     onepeak_b: int
 
 
-def census_of(a_paths: Iterable[Path], b_paths: Iterable[Path]) -> Census:
-    """Indecomposable counts over given paths of A by side and of B by peak count."""
-    below = above = 0
-    for p in a_paths:
-        if is_indecomposable(p):
-            if p.steps[0] == DOWN:
-                below += 1
-            else:
-                above += 1
-    nopeak = onepeak = 0
-    for q in b_paths:
-        if is_indecomposable(q):
-            if peak_apexes(q):
-                onepeak += 1
-            else:
-                nopeak += 1
-    return Census(below, above, nopeak, onepeak)
+def census_of(a_words: Iterable[str], b_words: Iterable[str]) -> Census:
+    """Indecomposable counts over step words of A by side and of B by peak count."""
+    a = [p for p in a_words if is_indecomposable(Path(p))]
+    b = [q for q in b_words if is_indecomposable(Path(q))]
+    below = sum(p[0] == DOWN for p in a)
+    nopeak = sum(UP + DOWN not in q for q in b)  # a peak is a UD factor
+    return Census(below, len(a) - below, nopeak, len(b) - nopeak)
 
 
 def indec_census(n: int) -> Census:
     """Indecomposable counts: flat-line grand paths by side, peak-limited paths by peak count."""
     if n < 1:
         raise ValueError("the census is defined for sizes >= 1")
-    return census_of(enumerate_class_a(n), enumerate_class_b(n))
+    return census_of(class_a_words(n), class_b_words(n))

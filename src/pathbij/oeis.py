@@ -75,11 +75,6 @@ def parse_bfile(text: str, source_name: str = "") -> SequenceTable:
     return SequenceTable(entries, source_name)
 
 
-def format_bfile(table: SequenceTable) -> str:
-    """Serialize back to b-file lines (comments are not preserved)."""
-    return "".join(f"{index} {value}\n" for index, value in table.entries.items())
-
-
 class Mismatch(NamedTuple):
     index: int
     expected: int

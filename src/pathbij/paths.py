@@ -58,8 +58,12 @@ def step_heights(steps: str) -> list[int]:
 
 def split_components(steps: str, heights: Sequence[int]) -> list[tuple[int, str]]:
     """(start vertex, steps) of each component of a ground-terminated word with these heights."""
-    cuts = [v for v, h in enumerate(heights) if h == 0]
-    return [(a, steps[a:b]) for a, b in zip(cuts, cuts[1:])]
+    parts, a = [], 0
+    for _ in range(heights.count(0) - 1):
+        b = heights.index(0, a + 1)
+        parts.append((a, steps[a:b]))
+        a = b
+    return parts
 
 
 @dataclass(frozen=True, order=True)
@@ -91,19 +95,8 @@ class Path:
     def end_height(self) -> int:
         return self.heights[-1]
 
-    @property
-    def min_height(self) -> int:
-        return min(self.heights)
-
-    @property
-    def max_height(self) -> int:
-        return max(self.heights)
-
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __add__(self, other: "Path") -> "Path":
-        return Path(self.steps + other.steps)
 
     def __str__(self) -> str:
         return self.steps
@@ -121,50 +114,38 @@ def concat(parts: Iterable[Path]) -> Path:
     return Path("".join(part.steps for part in parts))
 
 
-class Classification(NamedTuple):
-    is_grand_schroeder: bool
-    is_nonnegative: bool
-    is_schroeder: bool
-    flat_heights: tuple[int, ...]
-    min_height: int
-    max_height: int
+def class_a_word(steps: str, heights: Sequence[int], flat_line: int = 2) -> bool:
+    """``in_class_a`` on a step word, given its vertex heights."""
+    i = steps.find(FLAT)
+    while i >= 0:
+        if heights[i] != flat_line:
+            return False
+        i = steps.find(FLAT, i + 1)
+    return heights[-1] == 0
 
 
-def classify(p: Path) -> Classification:
-    """Basic classification: grand = ends at ground, Schroeder = grand and nonnegative.
-
-    ``flat_heights`` lists the height of each flatstep in path order.
-    """
-    hs = p.heights
-    grand = hs[-1] == 0
-    nonneg = min(hs) >= 0
-    flats = tuple(hs[i] for i, c in enumerate(p.steps) if c == FLAT)
-    return Classification(grand, nonneg, grand and nonneg, flats, min(hs), max(hs))
+def class_b_word(steps: str, heights: Sequence[int]) -> bool:
+    """``in_class_b`` on a step word, given its vertex heights."""
+    if heights[-1] != 0 or min(heights) < 0:
+        return False
+    # Two peaks share a component unless a ground vertex lies between their apexes.
+    peak = steps.find(UP + DOWN)
+    while peak >= 0:
+        after = steps.find(UP + DOWN, peak + 2)
+        if after >= 0 and 0 not in heights[peak + 1 : after + 1]:
+            return False
+        peak = after
+    return True
 
 
 def in_class_a(p: Path, flat_line: int = 2) -> bool:
     """True for grand Schroeder paths whose flatsteps all sit on the line y = flat_line."""
-    if p.end_height != 0:
-        return False
-    hs = p.heights
-    return all(hs[i] == flat_line for i, c in enumerate(p.steps) if c == FLAT)
+    return class_a_word(p.steps, p.heights, flat_line)
 
 
 def in_class_b(p: Path) -> bool:
     """True for Schroeder paths with at most one peak in each component."""
-    hs = p.heights
-    if hs[-1] != 0 or min(hs) < 0:
-        return False
-    s = p.steps
-    peaks_in_component = 0
-    for v in range(1, len(hs) - 1):
-        if s[v - 1] == UP and s[v] == DOWN:
-            peaks_in_component += 1
-            if peaks_in_component > 1:
-                return False
-        if hs[v] == 0:
-            peaks_in_component = 0
-    return True
+    return class_b_word(p.steps, p.heights)
 
 
 class Component(NamedTuple):

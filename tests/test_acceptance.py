@@ -24,7 +24,6 @@ from pathbij import (
     enumerate_class_b,
     in_class_a,
     in_class_b,
-    indec_census,
     parse_bfile,
     parse_path,
     peak_apexes,
@@ -146,12 +145,15 @@ def test_criterion_7_permutation_cross_check():
 
 
 def test_criterion_8_census():
+    """``verify --census`` compares the census; test_families checks ``indec_census`` itself."""
     t0 = time.perf_counter()
-    for n in range(1, VERIFY_MAX_SIZE + 1):
-        census = indec_census(n)
-        assert census.below_a == census.nopeak_b
-        assert census.above_a == census.onepeak_b
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--max-size", str(VERIFY_MAX_SIZE), "--census"])
     elapsed = time.perf_counter() - t0
+    lines = out.getvalue().splitlines()
+    assert code == 0
+    assert len(lines) == VERIFY_MAX_SIZE + 1
+    assert all(line.endswith(" bijection OK") for line in lines)
     _report(8, f"indecomposable census matches for sizes 1..{VERIFY_MAX_SIZE} ({elapsed:.1f}s)")
 
 

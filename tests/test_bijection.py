@@ -18,7 +18,7 @@ from pathbij import (
     reflect,
     trace_components,
 )
-from pathbij.bijection import _ABOVE_STAGES, _flatten
+from pathbij.bijection import _ABOVE_STAGES, _flatten, map_word
 
 
 def class_a_paths(max_size=5):
@@ -233,7 +233,7 @@ def test_interchange_output_structure():
             continue
         flipped, ann = flip(*expand(inner, {}))
         d, out = swap(flipped, ann)
-        assert Path(d).min_height >= 0
+        assert min(Path(d).heights) >= 0
         assert out["w"] in peak_apexes(Path(d))
         assert unswap(d, out) == (flipped, {})
 
@@ -281,6 +281,22 @@ def test_phi_rejects_other_paths():
         phi_inverse(parse_path("DU"))
     with pytest.raises(NotInClass):
         phi_inverse(parse_path("UUDUDD"))
+
+
+def test_map_word_memo_holds_each_component_once():
+    forward, backward = {}, {}
+    distinct = set()
+    for n in range(6):
+        for p in enumerate_class_a(n):
+            q = map_word(p.steps, False, forward)
+            assert q == phi(p).steps
+            assert map_word(q, True, backward) == p.steps
+            distinct.update(c.path.steps for c in components(p))
+    assert set(forward) == distinct
+    assert backward == {image: c for c, image in forward.items()}
+    with pytest.raises(NotInClass):
+        map_word("F", False, forward)  # checked before the memo is read
+    assert set(forward) == distinct
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -400,7 +416,7 @@ def test_trace_inverse_roundtrips_forward():
         swapped = fwd.stages[4]
         assert swapped.label == "interchange"
         if swapped.path.steps:
-            assert swapped.path.min_height >= 0
+            assert min(swapped.path.heights) >= 0
             assert swapped.w in peak_apexes(swapped.path)
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -6,17 +7,14 @@ import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import (
-    Path,
+    components,
     count_class_a_series,
     count_class_b_series,
-    count_series,
     enumerate_class_a,
-    enumerate_class_b,
-    phi,
-    phi_inverse,
 )
+from pathbij.bijection import map_word
 from pathbij.cli import main
-from pathbij.families import census_of
+from pathbij.families import census_of, class_a_words, class_b_words
 from pathbij.paths import MIRROR
 
 
@@ -193,49 +191,65 @@ def test_verify_reports_a_recurrence_mismatch(capsys, monkeypatch):
     assert lines[5] == "n=4: |A|=79 |B|=79 bijection OK"
 
 
+def _size(word):
+    return word.count("U") + word.count("F")
+
+
+def _faulty(forward=None, backward=None):
+    """``map_word`` with a fault on whole paths in one direction."""
+
+    def faulty(word, inverse, memo):
+        fault = backward if inverse else forward
+        return fault(word) if fault else map_word(word, inverse, memo)
+
+    return faulty
+
+
 def _reversed_after_uudd(q):
-    """phi_inverse, but read backwards for images starting UUDD: a path of A still."""
-    p = phi_inverse(q)
-    return Path(p.steps[::-1].translate(MIRROR)) if q.steps.startswith("UUDD") else p
+    """The inverse map, but read backwards for images starting UUDD: a path of A still."""
+    p = map_word(q, True)
+    return p[::-1].translate(MIRROR) if q.startswith("UUDD") else p
 
 
 def _last_b_extended(n):
-    paths = enumerate_class_b(n)
-    return paths[:-1] + [paths[-1] + Path("F")]  # still sorted and as many
+    words = list(class_b_words(n))
+    return words[:-1] + [words[-1] + "F"]  # still sorted and as many
 
 
 @pytest.mark.parametrize(
     "name,fault,max_size,line",
     [
         pytest.param(
-            "enumerate_class_a", lambda n: enumerate_class_a(n)[1:], 1,
+            "class_a_words", lambda n: list(class_a_words(n))[1:], 1,
             "count A 2 != enumeration 1", id="count",
         ),
         pytest.param(
-            "enumerate_class_b", lambda n: enumerate_class_b(n)[::-1], 1,
+            "class_b_words", lambda n: reversed(list(class_b_words(n))), 1,
             "class B enumeration is not strictly sorted", id="sorted",
         ),
         pytest.param(
-            "phi", lambda p: phi(p) + Path("UD"), 1, "size changed: DU -> FUD", id="size"
+            "map_word", _faulty(forward=lambda w: map_word(w) + "UD"), 1,
+            "size changed: DU -> FUD", id="size",
         ),
         pytest.param(
-            "phi", lambda p: Path("F" * p.size), 2, "component sizes changed: UUDD -> FF",
-            id="component-sizes",
+            "map_word", _faulty(forward=lambda w: "F" * _size(w)), 2,
+            "component sizes changed: UUDD -> FF", id="component-sizes",
         ),
         pytest.param(
-            "phi", lambda p: Path("F" * p.size), 1, "peak structure wrong: UD -> F", id="peaks"
+            "map_word", _faulty(forward=lambda w: "F" * _size(w)), 1,
+            "peak structure wrong: UD -> F", id="peaks",
         ),
         pytest.param(
-            "phi_inverse", lambda q: Path("DU" * q.size), 1, "inverse roundtrip failed for UD",
-            id="inverse-roundtrip",
+            "map_word", _faulty(backward=lambda w: "DU" * _size(w)), 1,
+            "inverse roundtrip failed for UD", id="inverse-roundtrip",
         ),
         pytest.param(
-            "enumerate_class_b", _last_b_extended, 1,
+            "class_b_words", _last_b_extended, 1,
             "image of the forward map differs from the class B enumeration", id="image",
         ),
         pytest.param(
-            "phi_inverse", _reversed_after_uudd, 3, "forward roundtrip failed for UUDDF",
-            id="forward-roundtrip",
+            "map_word", _faulty(backward=_reversed_after_uudd), 3,
+            "forward roundtrip failed for UUDDF", id="forward-roundtrip",
         ),
         pytest.param(
             "census_of", lambda a, b: census_of(a, b)._replace(below_a=0), 1,
@@ -252,7 +266,7 @@ def test_verify_reports_each_problem(name, fault, max_size, line, capsys, monkey
 
 
 def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
-    monkeypatch.setattr(pathbij.cli, "phi", lambda p: Path(phi(p).steps[::-1]))
+    monkeypatch.setattr(pathbij.cli, "map_word", _faulty(forward=lambda w: map_word(w)[::-1]))
     code, out, err = run(["verify", "--max-size", "3"], capsys)
     assert code == 1
     assert err == ""
@@ -263,6 +277,24 @@ def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
     assert [line for line in lines if line.startswith("n=")][2:] == [
         "n=2: |A|=6 |B|=6 bijection FAILED",
         "n=3: |A|=21 |B|=21 bijection FAILED",
+    ]
+
+
+def test_verify_compares_the_images_when_the_classes_differ_in_size(capsys, monkeypatch):
+    # B's count and enumeration agree with each other, but not with A's.
+    def short(max_n):
+        series = count_class_b_series(max_n)
+        series[1] -= 1
+        return series
+
+    monkeypatch.setattr(pathbij.cli, "count_class_b_series", short)
+    monkeypatch.setattr(pathbij.cli, "class_b_words", lambda n: list(class_b_words(n))[:1])
+    code, out, _ = run(["verify", "--max-size", "1"], capsys)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "n=1: |A|=2 |B|=1 bijection FAILED",
+        "  recurrence count 2 != DP counts 2 (A), 1 (B)",
+        "  image of the forward map differs from the class B enumeration",
     ]
 
 
@@ -316,26 +348,50 @@ def test_verify_runs_each_counter_once(capsys, monkeypatch):
     assert sorted(calls) == ["count_class_a_series", "count_class_b_series"]
 
 
-def test_verify_maps_each_path_once_and_enumerates_each_size_once(capsys, monkeypatch):
-    calls = {}
+def test_verify_maps_each_distinct_component_once_per_size(capsys, monkeypatch):
+    distinct = [
+        len({c.path.steps for p in enumerate_class_a(n) for c in components(p)}) for n in range(6)
+    ]
+    assert distinct == [0, 2, 4, 9, 24, 73]
+    enumerated = {"class_a_words": [], "class_b_words": []}
+    runs = {False: [], True: []}
 
-    def counting(fn):
-        def counted(arg):
-            calls.setdefault(fn.__name__, []).append(arg)
-            return fn(arg)
+    def counting(name, fn):
+        def counted(n):
+            enumerated[name].append(n)
+            return fn(n)
 
         return counted
 
     # indec_census would reach the enumerators through the families module's globals.
-    for fn in (enumerate_class_a, enumerate_class_b):
-        monkeypatch.setattr(pathbij.families, fn.__name__, counting(fn))
-        monkeypatch.setattr(pathbij.cli, fn.__name__, counting(fn))
-    for fn in (phi, phi_inverse):
-        monkeypatch.setattr(pathbij.cli, fn.__name__, counting(fn))
+    for name in enumerated:
+        counted = counting(name, getattr(pathbij.families, name))
+        monkeypatch.setattr(pathbij.families, name, counted)
+        monkeypatch.setattr(pathbij.cli, name, counted)
+    real_run = pathbij.bijection._run
+
+    def counted_run(steps, inverse, stages=None):
+        runs[inverse].append(steps)
+        return real_run(steps, inverse, stages)
+
+    monkeypatch.setattr(pathbij.bijection, "_run", counted_run)
     code, _, _ = run(["verify", "--max-size", "5", "--census"], capsys)
     assert code == 0
-    assert calls["enumerate_class_a"] == calls["enumerate_class_b"] == list(range(6))
-    assert len(calls["phi"]) == len(calls["phi_inverse"]) == sum(count_series(5))
+    assert enumerated == {"class_a_words": list(range(6)), "class_b_words": list(range(6))}
+    # A memo per size and direction: each distinct component is mapped once each way.
+    assert len(runs[False]) == len(runs[True]) == sum(distinct) == 112
+
+
+def test_verify_peak_memory_is_small(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(["verify", "--max-size", "7", "--census"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.count(" bijection OK\n") == 8
+    assert peak < 2_000_000
 
 
 def test_verify_census(capsys):

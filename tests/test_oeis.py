@@ -7,7 +7,6 @@ from pathbij import (
     RangeNotCovered,
     SequenceTable,
     compare_sequence,
-    format_bfile,
     parse_bfile,
 )
 
@@ -22,6 +21,8 @@ def test_parse_bfile_basic():
 def test_parse_bfile_skips_comments_and_blanks():
     table = parse_bfile("# a comment\n\n0 1\n  \n1 5\n")
     assert table.entries == {0: 1, 1: 5}
+    table = parse_bfile("# note\n3 7\n4 9\n5 11\n")
+    assert list(table.entries.items()) == [(3, 7), (4, 9), (5, 11)]
 
 
 def test_parse_bfile_signs_and_big_values():
@@ -47,11 +48,6 @@ def test_parse_bfile_non_contiguous():
     with pytest.raises(NonContiguousIndex) as exc:
         parse_bfile("0 1\n2 4\n")
     assert exc.value.line_number == 2
-
-
-def test_format_roundtrip():
-    text = "3 7\n4 9\n5 11\n"
-    assert format_bfile(parse_bfile("# note\n" + text)) == text
 
 
 def test_compare_sequence_match():

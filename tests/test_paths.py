@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pathbij import (
-    Classification,
     InvalidCharacter,
     NotGroundTerminated,
     Path,
-    classify,
     components,
     concat,
     in_class_a,
@@ -64,22 +62,6 @@ def test_parse_format_roundtrip(s):
     assert parse_path(s).steps == s
 
 
-def test_classify_examples():
-    c = classify(parse_path("DU"))
-    assert c.is_grand_schroeder and not c.is_schroeder
-    assert c.min_height == -1
-
-    c = classify(parse_path("FUDUFDUUFUDDD"))
-    assert c.is_schroeder
-    assert sorted(c.flat_heights) == [0, 1, 2]
-
-    c = classify(parse_path("UU"))
-    assert not c.is_grand_schroeder
-    assert c.max_height == 2
-
-    assert classify(parse_path("")) == Classification(True, True, True, (), 0, 0)
-
-
 def test_in_class_a_examples():
     assert in_class_a(parse_path("DUUDDDUUUUUDFDD"))
     assert not in_class_a(parse_path("F"))
@@ -92,6 +74,7 @@ def test_in_class_b_examples():
     assert in_class_b(parse_path("FUDUFDUUFUDDD"))
     assert not in_class_b(parse_path("UUDUDD"))  # one component, two peaks
     assert in_class_b(parse_path("UDUD"))  # one peak in each of two components
+    assert not in_class_b(parse_path("UDUUDUDD"))  # the second component has two peaks
     assert not in_class_b(parse_path("DU"))
     assert in_class_b(parse_path(""))
 
