@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple
 
-from .paths import DOWN, FLAT, UP, Path, is_indecomposable
+from .paths import DOWN, FLAT, UP, Path, step_heights
 
 
 def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
@@ -174,8 +174,9 @@ class Census(NamedTuple):
 
 def census_of(a_words: Iterable[str], b_words: Iterable[str]) -> Census:
     """Indecomposable counts over step words of A by side and of B by peak count."""
-    a = [p for p in a_words if is_indecomposable(Path(p))]
-    b = [q for q in b_words if is_indecomposable(Path(q))]
+    # A ground-terminated word is indecomposable iff it touches ground only at its two ends.
+    a = [p for p in a_words if step_heights(p).count(0) == 2]
+    b = [q for q in b_words if step_heights(q).count(0) == 2]
     below = sum(p[0] == DOWN for p in a)
     nopeak = sum(UP + DOWN not in q for q in b)  # a peak is a UD factor
     return Census(below, len(a) - below, nopeak, len(b) - nopeak)

@@ -1,16 +1,15 @@
-"""Brute-force pattern containment and avoider counting for one-line permutations.
+"""Pattern containment and avoider counting for one-line permutations.
 
-Containment is classical: a permutation contains a pattern when some
-subsequence is order-isomorphic to it.  Counting avoiders enumerates all m!
-permutations and scans every index subset per pattern length, so it is an
-oracle, deliberately independent of the path counters it cross-checks, and is
-capped at a configurable exhaustive bound.
+Containment is checked by brute force.  Avoiders of [m] are counted by
+inserting each new maximum wherever it completes no occurrence (a generating
+tree, West 1995): an oracle deliberately independent of the path counters it
+cross-checks, capped at a configurable size bound.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations as iter_permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .paths import PathbijError
@@ -59,17 +58,14 @@ def contains_pattern(perm: Sequence[int], pat: Sequence[int]) -> bool:
     return any(rank_signature(sub) == target for sub in combinations(tuple(perm), k))
 
 
-def _contains_quad(perm: Permutation, pats: frozenset[Permutation]) -> bool:
-    # Inlined rank computation for the common all-length-4 case; subsets of a
-    # permutation tuple come out in positional order, i.e. as subsequences.
-    for a, b, c, d in combinations(perm, 4):
-        if (
-            1 + (a > b) + (a > c) + (a > d),
-            1 + (b > a) + (b > c) + (b > d),
-            1 + (c > a) + (c > b) + (c > d),
-            1 + (d > a) + (d > b) + (d > c),
-        ) in pats:
-            return True
+def _completes(perm: Permutation, site: int, shapes: list[tuple[int, int, tuple]]) -> bool:
+    # A new maximum inserted at site can only play each pattern's maximum.
+    for before_n, after_n, chain in shapes:
+        for before in combinations(perm[:site], before_n):
+            for after in combinations(perm[site:], after_n):
+                sub = before + after
+                if all(sub[a] < sub[b] for a, b in chain):
+                    return True
     return False
 
 
@@ -78,7 +74,7 @@ def count_avoiders(
     patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS,
     max_exhaustive: int = MAX_EXHAUSTIVE,
 ) -> int:
-    """Count permutations of [m] containing none of the patterns, by full enumeration."""
+    """Count permutations of [m] containing none of the patterns, by inserting maxima."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > max_exhaustive:
@@ -86,20 +82,24 @@ def count_avoiders(
     pats = frozenset(tuple(p) for p in patterns)
     if not pats:
         return math.factorial(m)
-    lengths = sorted({len(p) for p in pats})
+    if () in pats:
+        return 0  # the empty pattern occurs in every permutation
+    # Per pattern: entries before and after its maximum, the others' value order.
+    shapes = []
+    for p in pats:
+        j = p.index(max(p))
+        order = sorted(range(len(p) - 1), key=(p[:j] + p[j + 1 :]).__getitem__)
+        shapes.append((j, len(p) - 1 - j, tuple(zip(order, order[1:]))))
     count = 0
-    if lengths == [4]:
-        for perm in iter_permutations(range(1, m + 1)):
-            if not _contains_quad(perm, pats):
-                count += 1
-        return count
-    by_length = {k: frozenset(p for p in pats if len(p) == k) for k in lengths}
-    for perm in iter_permutations(range(1, m + 1)):
-        if not any(
-            rank_signature(sub) in of_len
-            for k, of_len in by_length.items()
-            if k <= m
-            for sub in combinations(perm, k)
-        ):
+    stack = [((), [0])]  # an avoider of [k] and its sites still to test for k + 1
+    while stack:
+        perm, sites = stack.pop()
+        if len(perm) == m:
             count += 1
+            continue
+        live = [s for s in sites if not _completes(perm, s, shapes)]
+        for s in live:
+            # A site dead for a parent stays dead for every descendant; s splits in two.
+            child_sites = [t for t in live if t <= s] + [t + 1 for t in live if t >= s]
+            stack.append((perm[:s] + (len(perm) + 1,) + perm[s:], child_sites))
     return count

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -60,7 +62,7 @@ def test_count_avoiders_matches_path_counts(m):
 
 
 def test_count_avoiders_generic_lengths():
-    # mixed pattern lengths exercise the generic subset scan
+    # mixed pattern lengths, including patterns as long as the permutation
     assert count_avoiders(4, ((2, 1),)) == 1  # only the identity avoids 21
     assert count_avoiders(3, ((1, 2), (2, 1))) == 0
     assert count_avoiders(4, ((2, 1), (1, 2, 3))) == 0  # avoiding 21 forces the identity, which has 123
@@ -68,16 +70,39 @@ def test_count_avoiders_generic_lengths():
     assert count_avoiders(5, ((1, 2, 3), (3, 2, 1))) == 0
 
 
-def test_count_avoiders_agrees_with_containment_scan():
-    import itertools
+def _random_pattern_sets(count):
+    """Distinct seeded sets of 0-3 patterns, each of length 1-4."""
+    rng = random.Random(3)
+    sets = {}
+    while len(sets) < count:
+        pats = []
+        for _ in range(rng.randint(0, 3)):
+            pat = list(range(1, rng.randint(1, 4) + 1))
+            rng.shuffle(pat)
+            pats.append(tuple(pat))
+        sets.setdefault(frozenset(pats), tuple(pats))
+    return list(sets.values())
 
-    patterns = ((1, 2, 3), (3, 2, 1))
+
+MIXED_LENGTHS = ((1, 3, 2), (4, 2, 3, 1))
+SCAN_SETS = [DEFAULT_PATTERNS, ((),), ((1, 2, 3), (3, 2, 1)), MIXED_LENGTHS, *_random_pattern_sets(8)]
+SCAN_CASES = [(m, pats) for pats in SCAN_SETS for m in range(7)]
+SCAN_CASES += [(7, DEFAULT_PATTERNS), (7, MIXED_LENGTHS)]
+
+
+def _case_id(case):
+    m, pats = case
+    return f"{m}-" + (",".join("".join(map(str, p)) or "()" for p in pats) or "none")
+
+
+@pytest.mark.parametrize("m, patterns", SCAN_CASES, ids=map(_case_id, SCAN_CASES))
+def test_count_avoiders_agrees_with_containment_scan(m, patterns):
     expected = sum(
         1
-        for perm in itertools.permutations(range(1, 5))
+        for perm in itertools.permutations(range(1, m + 1))
         if not any(contains_pattern(perm, pat) for pat in patterns)
     )
-    assert count_avoiders(4, patterns) == expected
+    assert count_avoiders(m, patterns) == expected
 
 
 def test_count_avoiders_bound():
