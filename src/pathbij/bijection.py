@@ -18,11 +18,13 @@ each indecomposable component independently:
 Each stage is defined once, as a private kernel on step strings paired with
 its inverse in ``_ABOVE_STAGES``; ``_run`` runs the table forwards, backwards,
 and with stage recording for the trace.  ``map_word`` (under ``phi`` and
-``phi_inverse``) and ``trace_components`` check class membership once, so the
-kernels re-check nothing it implies.  The inverse kernels check that their
-input lies in the forward stage's image and raise ``InverseDomainError``
-otherwise; for genuine class members those checks never fire, which is
-exactly the reversibility claim the test suite verifies exhaustively.
+``phi_inverse``) joins the ``_run`` images of its input's components, so a
+word's image is decided by its components'.  It and ``trace_components``
+check class membership once, so the kernels re-check nothing it implies.
+The inverse kernels check that their input lies in the forward stage's image
+and raise ``InverseDomainError`` otherwise; for genuine class members those
+checks never fire, which is exactly the reversibility claim the test suite
+verifies exhaustively.
 """
 
 from __future__ import annotations
@@ -233,18 +235,9 @@ def _components(steps: str, inverse: bool) -> list[str]:
     return [s for _, s in split_components(steps, hs)]
 
 
-def map_word(steps: str, inverse: bool = False, memo: dict[str, str] | None = None) -> str:
-    """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time.
-
-    A caller's ``memo``, one per direction, keeps each component word's image.
-    """
-    parts = _components(steps, inverse)
-    if memo is None:
-        return "".join(_run(s, inverse) for s in parts)
-    for s in parts:
-        if s not in memo:
-            memo[s] = _run(s, inverse)
-    return "".join(map(memo.__getitem__, parts))
+def map_word(steps: str, inverse: bool = False) -> str:
+    """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time."""
+    return "".join(_run(s, inverse) for s in _components(steps, inverse))
 
 
 def phi(p: Path) -> Path:

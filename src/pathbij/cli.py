@@ -37,6 +37,7 @@ from .paths import (
     UP,
     Path,
     PathbijError,
+    class_a_word,
     class_b_word,
     parse_path,
     render_ascii,
@@ -181,53 +182,59 @@ def _size_of(word: str) -> int:
     return word.count(UP) + word.count(FLAT)
 
 
+def _component_problems(c: str) -> list[str]:
+    """Problems of a class-A component: its image must be one component of its size,
+    peak-free if ``c`` lies below ground and one-peaked otherwise, and map back."""
+    problems = []
+    try:
+        q = map_word(c)
+        if _size_of(q) != _size_of(c):
+            return [f"size changed: {c} -> {q}"]
+        q_hs = step_heights(q)
+        if q_hs[-1] != 0 or q_hs.count(0) != 2:
+            return [f"component sizes changed: {c} -> {q}"]
+        if q.count(UP + DOWN) != (0 if c[0] == DOWN else 1):
+            problems.append(f"peak structure wrong: {c} -> {q}")
+        if map_word(q, True) != c:
+            problems.append(f"inverse roundtrip failed for {c}")
+    except PathbijError as exc:
+        problems.append(f"error for {c}: {exc}")
+    return problems
+
+
 def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list[str]:
     """All invariant violations at size n, given its two counts (empty = all good).
 
-    One streamed pass over both classes maps each class-A word forwards and
-    its image backwards through ``map_word``, with one memo per direction for
-    this size, so each distinct component is mapped once each way.  The images
-    are all of B_n by counting: the class-B words are strictly sorted, each of
-    size n and in class B, and there are count_b = |B_n| of them; the forward
-    map has a left inverse on the count_a distinct class-A words; and count_a =
-    count_b.  Only where a premise or another check fails are both classes
-    enumerated again, to compare the sorted images with the class-B words and
-    to run the forward round trip over them.
+    One streamed pass over both classes.  Each class-A word is checked against
+    the class and split once; ``_component_problems`` checks each distinct
+    component once per size.  As ``map_word`` joins its components' images,
+    every class-A word then maps to a class-B word of the same size and
+    component sizes that maps back to it.  The images are all of B_n by
+    counting: the class-B words are strictly sorted, each of size n and in
+    class B, and there are count_b = |B_n| of them; the forward map has a left
+    inverse on the count_a distinct class-A words; and count_a = count_b.
+    Only where a premise or another check fails are both classes enumerated
+    again, to compare the sorted images with the class-B words and to run the
+    forward round trip over them.
     """
-    forward: dict[str, str] = {}
-    backward: dict[str, str] = {}
+    checked: set[str] = set()
     problems: list[str] = []
     a_indec, b_indec = [], []  # single-component words only: few beside the paths
     len_a, a_sorted, last = 0, True, None
     for len_a, p in enumerate(class_a_words(n), 1):
         a_sorted = a_sorted and (last is None or last < p)
         last = p
-        p_parts = split_components(p, step_heights(p))
-        # no other word of size n holds a component of size n: map it without a memo
-        memos = (forward, backward) if len(p_parts) > 1 else (None, None)
-        if census and len(p_parts) == 1:
-            a_indec.append(p)
-        try:
-            q = map_word(p, False, memos[0])
-            if _size_of(q) != n:
-                problems.append(f"size changed: {p} -> {q}")
-                continue
-            q_hs = step_heights(q)
-            q_parts = split_components(q, q_hs)
-            sizes = [_size_of(c) for _, c in p_parts]
-            if q_hs[-1] != 0 or sizes != [_size_of(c) for _, c in q_parts]:
-                problems.append(f"component sizes changed: {p} -> {q}")
-                continue
-            # below-ground components map to peak-free ones, above-ground ones to one peak
-            if any(
-                cq.count(UP + DOWN) != (0 if cp[0] == DOWN else 1)
-                for (_, cp), (_, cq) in zip(p_parts, q_parts)
-            ):
-                problems.append(f"peak structure wrong: {p} -> {q}")
-            if map_word(q, True, memos[1]) != p:
-                problems.append(f"inverse roundtrip failed for {p}")
-        except PathbijError as exc:
-            problems.append(f"error for {p}: {exc}")
+        p_hs = step_heights(p)
+        parts = [c for _, c in split_components(p, p_hs)] if class_a_word(p, p_hs) else [p]
+        if len(parts) == 1:  # no other word of size n holds it; a word outside A is checked whole
+            if census:
+                a_indec.append(p)
+            problems += _component_problems(p)
+            continue
+        for c in parts:
+            if c not in checked:
+                checked.add(c)
+                problems += _component_problems(c)
     len_b, b_sorted, b_in_class, last = 0, True, True, None
     for len_b, q in enumerate(class_b_words(n), 1):
         b_sorted = b_sorted and (last is None or last < q)
@@ -250,13 +257,13 @@ def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list
         images = []
         for p in class_a_words(n):
             with contextlib.suppress(PathbijError):
-                images.append(map_word(p, False, forward))
+                images.append(map_word(p))
         b_words = list(class_b_words(n))
         if sorted(images) != b_words:
             problems.append("image of the forward map differs from the class B enumeration")
         for q in b_words:
             try:
-                if map_word(map_word(q, True, backward), False, forward) != q:
+                if map_word(map_word(q, True)) != q:
                     problems.append(f"forward roundtrip failed for {q}")
             except PathbijError as exc:
                 problems.append(f"error for {q}: {exc}")

@@ -283,20 +283,14 @@ def test_phi_rejects_other_paths():
         phi_inverse(parse_path("UUDUDD"))
 
 
-def test_map_word_memo_holds_each_component_once():
-    forward, backward = {}, {}
-    distinct = set()
+def test_map_word_agrees_with_phi_and_inverts():
     for n in range(6):
         for p in enumerate_class_a(n):
-            q = map_word(p.steps, False, forward)
+            q = map_word(p.steps)
             assert q == phi(p).steps
-            assert map_word(q, True, backward) == p.steps
-            distinct.update(c.path.steps for c in components(p))
-    assert set(forward) == distinct
-    assert backward == {image: c for c, image in forward.items()}
+            assert map_word(q, True) == p.steps
     with pytest.raises(NotInClass):
-        map_word("F", False, forward)  # checked before the memo is read
-    assert set(forward) == distinct
+        map_word("F")
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -15,7 +15,6 @@ from pathbij import (
 from pathbij.bijection import map_word
 from pathbij.cli import main
 from pathbij.families import census_of, class_a_words, class_b_words
-from pathbij.paths import MIRROR
 
 
 def run(argv, capsys):
@@ -196,19 +195,21 @@ def _size(word):
 
 
 def _faulty(forward=None, backward=None):
-    """``map_word`` with a fault on whole paths in one direction."""
+    """``map_word`` with a fault on every word it maps in one direction."""
 
-    def faulty(word, inverse, memo):
+    def faulty(word, inverse=False):
         fault = backward if inverse else forward
-        return fault(word) if fault else map_word(word, inverse, memo)
+        return fault(word) if fault else map_word(word, inverse)
 
     return faulty
 
 
-def _reversed_after_uudd(q):
-    """The inverse map, but read backwards for images starting UUDD: a path of A still."""
-    p = map_word(q, True)
-    return p[::-1].translate(MIRROR) if q.startswith("UUDD") else p
+_SWAPPED = {"UFFD": "UUFDD", "UUFDD": "UFFD"}
+
+
+def _swapped_preimages(q):
+    """The inverse map, but with the preimages of two one-component B words swapped."""
+    return map_word(_SWAPPED.get(q, q), True)
 
 
 def _last_b_extended(n):
@@ -226,6 +227,17 @@ def _last_b_extended(n):
         pytest.param(
             "class_b_words", lambda n: reversed(list(class_b_words(n))), 1,
             "class B enumeration is not strictly sorted", id="sorted",
+        ),
+        pytest.param(
+            # checked whole, so that map_word gives its own error
+            "class_a_words", lambda n: ["F" if w == "DU" else w for w in class_a_words(n)], 1,
+            "error for F: input is not a grand Schroeder path with all flatsteps on y=2",
+            id="outside-class-a",
+        ),
+        pytest.param(
+            "class_a_words", lambda n: ["U" if w == "DU" else w for w in class_a_words(n)], 1,
+            "error for U: input is not a grand Schroeder path with all flatsteps on y=2",
+            id="off-ground",
         ),
         pytest.param(
             "map_word", _faulty(forward=lambda w: map_word(w) + "UD"), 1,
@@ -248,8 +260,8 @@ def _last_b_extended(n):
             "image of the forward map differs from the class B enumeration", id="image",
         ),
         pytest.param(
-            "map_word", _faulty(backward=_reversed_after_uudd), 3,
-            "forward roundtrip failed for UUDDF", id="forward-roundtrip",
+            "map_word", _faulty(backward=_swapped_preimages), 3,
+            "forward roundtrip failed for UFFD", id="forward-roundtrip",
         ),
         pytest.param(
             "census_of", lambda a, b: census_of(a, b)._replace(below_a=0), 1,
@@ -277,6 +289,24 @@ def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
     assert [line for line in lines if line.startswith("n=")][2:] == [
         "n=2: |A|=6 |B|=6 bijection FAILED",
         "n=3: |A|=21 |B|=21 bijection FAILED",
+    ]
+
+
+def test_verify_names_a_faulty_component_once_per_size(capsys, monkeypatch):
+    # UD is a component of three words of size 2 besides being one at size 1.
+    real_run = pathbij.bijection._run
+
+    def faulty_run(steps, inverse, stages=None):
+        return "F" if steps == "UD" and not inverse else real_run(steps, inverse, stages)
+
+    monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
+    code, out, err = run(["verify", "--max-size", "2"], capsys)
+    assert code == 1
+    assert err == ""
+    blocks = out.split("n=")
+    assert blocks[3].startswith("2: |A|=6 |B|=6 bijection FAILED\n")
+    assert [line for line in blocks[3].splitlines() if line.startswith("  peak")] == [
+        "  peak structure wrong: UD -> F"
     ]
 
 
@@ -378,7 +408,7 @@ def test_verify_maps_each_distinct_component_once_per_size(capsys, monkeypatch):
     code, _, _ = run(["verify", "--max-size", "5", "--census"], capsys)
     assert code == 0
     assert enumerated == {"class_a_words": list(range(6)), "class_b_words": list(range(6))}
-    # A memo per size and direction: each distinct component is mapped once each way.
+    # A set per size: each distinct component is checked once, one map each way.
     assert len(runs[False]) == len(runs[True]) == sum(distinct) == 112
 
 
