@@ -41,7 +41,6 @@ from .paths import (
     class_b_word,
     parse_path,
     render_ascii,
-    split_components,
     step_heights,
 )
 from .permutations import count_avoiders, parse_patterns
@@ -202,39 +201,43 @@ def _component_problems(c: str) -> list[str]:
     return problems
 
 
-def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list[str]:
+def check_size(
+    n: int, count_a: int, count_b: int, failed: list[str], census: bool = False
+) -> list[str]:
     """All invariant violations at size n, given its two counts (empty = all good).
 
-    One streamed pass over both classes.  Each class-A word is checked against
-    the class and split once; ``_component_problems`` checks each distinct
-    component once per size.  As ``map_word`` joins its components' images,
-    every class-A word then maps to a class-B word of the same size and
-    component sizes that maps back to it.  The images are all of B_n by
-    counting: the class-B words are strictly sorted, each of size n and in
-    class B, and there are count_b = |B_n| of them; the forward map has a left
-    inverse on the count_a distinct class-A words; and count_a = count_b.
+    ``verify`` calls it for n = 0, 1, ... in turn with one list ``failed`` per
+    run, and it appends the components that fail here.  ``_component_problems``
+    checks each class-A word of one component, and each word outside class A,
+    whole; a word of more components gets only the count, sorted and class
+    premises.  Soundness, by induction over the sizes of one run: when sizes
+    0..n all pass, the premises make the class-A words all of A_n, and each
+    indecomposable of size k <= n passed at size k (a failed one, c, fails
+    each larger size n, which holds c + UD*(n-k)); as ``map_word`` joins the
+    components' images, each word of A_n maps to a class-B word of the same
+    size and component sizes that maps back to it.  The images are all of B_n
+    by counting: the class-B words are strictly sorted, each of size n and in
+    class B, and there are count_b = |B_n| of them; the forward map has a
+    left inverse on the count_a distinct class-A words; and count_a = count_b.
     Only where a premise or another check fails are both classes enumerated
     again, to compare the sorted images with the class-B words and to run the
     forward round trip over them.
     """
-    checked: set[str] = set()
-    problems: list[str] = []
+    problems = [f"smaller components failed: {len(failed)}, first {failed[0]}"] if failed else []
     a_indec, b_indec = [], []  # single-component words only: few beside the paths
     len_a, a_sorted, last = 0, True, None
     for len_a, p in enumerate(class_a_words(n), 1):
         a_sorted = a_sorted and (last is None or last < p)
         last = p
         p_hs = step_heights(p)
-        parts = [c for _, c in split_components(p, p_hs)] if class_a_word(p, p_hs) else [p]
-        if len(parts) == 1:  # no other word of size n holds it; a word outside A is checked whole
-            if census:
+        in_class = class_a_word(p, p_hs)
+        if p_hs.count(0) == 2 or not in_class:  # one component, or a word checked whole
+            found = _component_problems(p)
+            problems += found
+            if in_class and found:
+                failed.append(p)
+            if in_class and census:
                 a_indec.append(p)
-            problems += _component_problems(p)
-            continue
-        for c in parts:
-            if c not in checked:
-                checked.add(c)
-                problems += _component_problems(c)
     len_b, b_sorted, b_in_class, last = 0, True, True, None
     for len_b, q in enumerate(class_b_words(n), 1):
         b_sorted = b_sorted and (last is None or last < q)
@@ -245,13 +248,13 @@ def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list
             b_indec.append(q)
     problems = [
         message
-        for failed, message in [
+        for bad, message in [
             (count_a != len_a, f"count A {count_a} != enumeration {len_a}"),
             (count_b != len_b, f"count B {count_b} != enumeration {len_b}"),
             (not a_sorted, "class A enumeration is not strictly sorted"),
             (not b_sorted, "class B enumeration is not strictly sorted"),
         ]
-        if failed
+        if bad
     ] + problems
     if problems or not b_in_class or len_a != len_b:
         images = []
@@ -275,19 +278,20 @@ def check_size(n: int, count_a: int, count_b: int, census: bool = False) -> list
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    failed = False
+    failed: list[str] = []  # the components whose check failed, in this whole run
+    ok = True
     r_series = count_series(args.max_size)
     a_series = count_class_a_series(args.max_size)
     b_series = count_class_b_series(args.max_size)
     for n, (r, a, b) in enumerate(zip(r_series, a_series, b_series)):
         problems = [] if r == a == b else [f"recurrence count {r} != DP counts {a} (A), {b} (B)"]
-        problems += check_size(n, a, b, census=args.census)
+        problems += check_size(n, a, b, failed, args.census)
         status = "OK" if not problems else "FAILED"
         print(f"n={n}: |A|={a} |B|={b} bijection {status}")
         for message in problems:
             print(f"  {message}")
-        failed = failed or bool(problems)
-    return 1 if failed else 0
+        ok = ok and not problems
+    return 0 if ok else 1
 
 
 def cmd_perms(args: argparse.Namespace) -> int:

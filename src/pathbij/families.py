@@ -18,7 +18,7 @@ first-return decompositions; the dynamic programs are its oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .paths import DOWN, FLAT, UP, Path, step_heights
 
@@ -172,18 +172,18 @@ class Census(NamedTuple):
     onepeak_b: int
 
 
-def census_of(a_words: Iterable[str], b_words: Iterable[str]) -> Census:
-    """Indecomposable counts over step words of A by side and of B by peak count."""
-    # A ground-terminated word is indecomposable iff it touches ground only at its two ends.
-    a = [p for p in a_words if step_heights(p).count(0) == 2]
-    b = [q for q in b_words if step_heights(q).count(0) == 2]
-    below = sum(p[0] == DOWN for p in a)
-    nopeak = sum(UP + DOWN not in q for q in b)  # a peak is a UD factor
-    return Census(below, len(a) - below, nopeak, len(b) - nopeak)
+def census_of(a_indec: Sequence[str], b_indec: Sequence[str]) -> Census:
+    """Counts of indecomposable step words: of A by side and of B by peak count."""
+    below = sum(p[0] == DOWN for p in a_indec)
+    nopeak = sum(UP + DOWN not in q for q in b_indec)  # a peak is a UD factor
+    return Census(below, len(a_indec) - below, nopeak, len(b_indec) - nopeak)
 
 
 def indec_census(n: int) -> Census:
     """Indecomposable counts: flat-line grand paths by side, peak-limited paths by peak count."""
     if n < 1:
         raise ValueError("the census is defined for sizes >= 1")
-    return census_of(class_a_words(n), class_b_words(n))
+    # A ground-terminated word is indecomposable iff it touches ground only at its two ends.
+    a = [p for p in class_a_words(n) if step_heights(p).count(0) == 2]
+    b = [q for q in class_b_words(n) if step_heights(q).count(0) == 2]
+    return census_of(a, b)

@@ -3,7 +3,7 @@
 Containment is checked by brute force.  Avoiders of [m] are counted by
 inserting each new maximum wherever it completes no occurrence (a generating
 tree, West 1995): an oracle deliberately independent of the path counters it
-cross-checks, capped at a configurable size bound.
+cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ MAX_EXHAUSTIVE = 9
 
 
 class SizeTooLarge(PathbijError):
-    """Exhaustive counting was asked for more elements than the configured bound."""
+    """Exhaustive counting was asked for more than ``MAX_EXHAUSTIVE`` elements."""
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -69,16 +69,12 @@ def _completes(perm: Permutation, site: int, shapes: list[tuple[int, int, tuple]
     return False
 
 
-def count_avoiders(
-    m: int,
-    patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS,
-    max_exhaustive: int = MAX_EXHAUSTIVE,
-) -> int:
+def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS) -> int:
     """Count permutations of [m] containing none of the patterns, by inserting maxima."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > max_exhaustive:
-        raise SizeTooLarge(f"m={m} exceeds the exhaustive bound {max_exhaustive}")
+    if m > MAX_EXHAUSTIVE:
+        raise SizeTooLarge(f"m={m} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
     pats = frozenset(tuple(p) for p in patterns)
     if not pats:
         return math.factorial(m)

@@ -7,10 +7,10 @@ import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import (
-    components,
     count_class_a_series,
     count_class_b_series,
     enumerate_class_a,
+    is_indecomposable,
 )
 from pathbij.bijection import map_word
 from pathbij.cli import main
@@ -292,22 +292,45 @@ def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
     ]
 
 
-def test_verify_names_a_faulty_component_once_per_size(capsys, monkeypatch):
-    # UD is a component of three words of size 2 besides being one at size 1.
+@pytest.mark.parametrize(
+    "component,line",
+    [("UD", "peak structure wrong: UD -> F"), ("UUFDD", "component sizes changed: UUFDD -> FFF")],
+    ids=["UD", "UUFDD"],
+)
+def test_verify_names_a_faulty_component_once_per_run(component, line, capsys, monkeypatch):
+    # A larger word holding the component, such as UD + UD, is not checked again.
     real_run = pathbij.bijection._run
+    k = _size(component)
 
     def faulty_run(steps, inverse, stages=None):
-        return "F" if steps == "UD" and not inverse else real_run(steps, inverse, stages)
+        if steps == component and not inverse:
+            return "F" * k
+        return real_run(steps, inverse, stages)
 
     monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
-    code, out, err = run(["verify", "--max-size", "2"], capsys)
+    code, out, err = run(["verify", "--max-size", str(k + 2)], capsys)
     assert code == 1
     assert err == ""
-    blocks = out.split("n=")
-    assert blocks[3].startswith("2: |A|=6 |B|=6 bijection FAILED\n")
-    assert [line for line in blocks[3].splitlines() if line.startswith("  peak")] == [
-        "  peak structure wrong: UD -> F"
-    ]
+    blocks = [block.splitlines() for block in out.split("n=")[1:]]
+    assert len(blocks) == k + 3
+    assert [block[0].endswith(" bijection OK") for block in blocks[:k]] == [True] * k
+    assert blocks[k][0].endswith(" bijection FAILED")
+    assert "  " + line in blocks[k]
+    for block in blocks[k + 1 :]:
+        assert block[0].endswith(" bijection FAILED")
+        assert f"  smaller components failed: 1, first {component}" in block
+        assert not any(f" {component} -> " in ln for ln in block)
+
+
+def test_verify_fails_no_later_size_for_a_word_outside_class_a(capsys, monkeypatch):
+    # F is no class-A component, so no word of size 2 holds it.
+    def faulty(n):
+        return ["F" if w == "DU" else w for w in class_a_words(n)]
+
+    monkeypatch.setattr(pathbij.cli, "class_a_words", faulty)
+    code, out, _ = run(["verify", "--max-size", "2"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "n=2: |A|=6 |B|=6 bijection OK"
 
 
 def test_verify_compares_the_images_when_the_classes_differ_in_size(capsys, monkeypatch):
@@ -378,11 +401,9 @@ def test_verify_runs_each_counter_once(capsys, monkeypatch):
     assert sorted(calls) == ["count_class_a_series", "count_class_b_series"]
 
 
-def test_verify_maps_each_distinct_component_once_per_size(capsys, monkeypatch):
-    distinct = [
-        len({c.path.steps for p in enumerate_class_a(n) for c in components(p)}) for n in range(6)
-    ]
-    assert distinct == [0, 2, 4, 9, 24, 73]
+def test_verify_maps_each_distinct_component_once_per_run(capsys, monkeypatch):
+    indecomposables = sum(is_indecomposable(p) for n in range(6) for p in enumerate_class_a(n))
+    assert indecomposables == 73
     enumerated = {"class_a_words": [], "class_b_words": []}
     runs = {False: [], True: []}
 
@@ -408,8 +429,8 @@ def test_verify_maps_each_distinct_component_once_per_size(capsys, monkeypatch):
     code, _, _ = run(["verify", "--max-size", "5", "--census"], capsys)
     assert code == 0
     assert enumerated == {"class_a_words": list(range(6)), "class_b_words": list(range(6))}
-    # A set per size: each distinct component is checked once, one map each way.
-    assert len(runs[False]) == len(runs[True]) == sum(distinct) == 112
+    # Each indecomposable is checked at its own size only, one map each way.
+    assert len(runs[False]) == len(runs[True]) == indecomposables
 
 
 def test_verify_peak_memory_is_small(capsys):
