@@ -86,12 +86,18 @@ def _contract_marks(s: str, ann: dict) -> tuple[str, dict]:
 
 
 def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
-    g = "".join(
-        part.translate(MIRROR) if start == 0 or start in ann["marks"] else part
-        for start, part in split_components(s, step_heights(s))
-    )
-    v1, v2 = _landmarks(g)
-    return g, {"v1": v1, "v2": v2}
+    # s is a Dyck path, so the flipped components are exactly g's below-ground
+    # ones: v1, g's leftmost lowest vertex, is the leftmost vertex where s is
+    # highest within them, and v2, g's last upstep to ground, ends the last one.
+    hs, parts, v1, v2 = step_heights(s), [], 0, 0
+    for start, part in split_components(s, hs):
+        if start == 0 or start in ann["marks"]:
+            part, v2 = part.translate(MIRROR), start + len(part)
+            top = max(hs[start:v2])
+            if top > hs[v1]:
+                v1 = hs.index(top, start)
+        parts.append(part)
+    return "".join(parts), {"v1": v1, "v2": v2}
 
 
 def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
@@ -109,17 +115,6 @@ def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
         else:
             out.append(part)
     return "".join(out), {"marks": frozenset(marks)}
-
-
-def _landmarks(g: str) -> tuple[int, int]:
-    """The leftmost lowest vertex and the end of the last upstep returning to ground.
-
-    On a nonempty grand Dyck path whose first component lies below ground,
-    0 < v1 < v2 always holds.
-    """
-    hs = step_heights(g)
-    v2 = next(v for v in range(len(g), 0, -1) if hs[v] == 0 and g[v - 1] == UP)
-    return hs.index(min(hs)), v2
 
 
 def _interchange(g: str, ann: dict) -> tuple[str, dict]:

@@ -14,14 +14,7 @@ import pathlib
 import sys
 from typing import Sequence
 
-from .bijection import (
-    Direction,
-    InverseDomainError,
-    map_word,
-    phi,
-    phi_inverse,
-    trace_components,
-)
+from .bijection import InverseDomainError, map_word, phi, phi_inverse, trace_components
 from .families import (
     census_of,
     class_a_words,
@@ -35,7 +28,6 @@ from .paths import (
     DOWN,
     FLAT,
     UP,
-    Path,
     PathbijError,
     class_a_word,
     class_b_word,
@@ -82,15 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--size", type=_size, required=True)
     p_count.set_defaults(func=cmd_count)
 
-    p_map = sub.add_parser("map", help="apply the forward bijection to a path")
-    p_map.add_argument("--path", required=True)
-    p_map.add_argument("--trace", action="store_true", help="print the pipeline stages")
-    p_map.set_defaults(func=cmd_map)
-
-    p_unmap = sub.add_parser("unmap", help="apply the inverse bijection to a path")
-    p_unmap.add_argument("--path", required=True)
-    p_unmap.add_argument("--trace", action="store_true", help="print the pipeline stages")
-    p_unmap.set_defaults(func=cmd_unmap)
+    for verb, direction in (("map", "forward"), ("unmap", "inverse")):
+        p_map = sub.add_parser(verb, help=f"apply the {direction} bijection to a path")
+        p_map.add_argument("--path", required=True)
+        p_map.add_argument("--trace", action="store_true", help="print the pipeline stages")
+        p_map.set_defaults(func=cmd_map, direction=direction)
 
     p_verify = sub.add_parser(
         "verify", help="exhaustively check the bijection and counters up to a size"
@@ -148,32 +136,18 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_traced(p: Path, direction: Direction) -> None:
-    """Trace every component (checking the input before printing), then print the image."""
-    traces = trace_components(p, direction)
+def cmd_map(args: argparse.Namespace) -> int:
+    p = parse_path(args.path)
+    if not args.trace:
+        print((phi if args.direction == "forward" else phi_inverse)(p).steps)
+        return 0
+    traces = trace_components(p, args.direction)  # checks the input before anything prints
     for i, trace in enumerate(traces):
         if len(traces) > 1:
             print(f"component {i + 1}: {trace.stages[0].path.steps}")
         for line in trace.lines():
             print(line)
     print("".join(trace.stages[-1].path.steps for trace in traces))
-
-
-def cmd_map(args: argparse.Namespace) -> int:
-    p = parse_path(args.path)
-    if args.trace:
-        _print_traced(p, "forward")
-    else:
-        print(phi(p).steps)
-    return 0
-
-
-def cmd_unmap(args: argparse.Namespace) -> int:
-    q = parse_path(args.path)
-    if args.trace:
-        _print_traced(q, "inverse")
-    else:
-        print(phi_inverse(q).steps)
     return 0
 
 

@@ -27,10 +27,6 @@ DOWN: Step = "D"
 _RISE = {UP: 1, FLAT: 0, DOWN: -1}
 _STEP_SET = frozenset(_RISE)
 
-# Horizontal extent of each step in half-unit columns; only rendering and
-# width budgets care (step words never store x-coordinates).
-STEP_WIDTH = {UP: 1, FLAT: 2, DOWN: 1}
-
 MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
 
 
@@ -210,23 +206,14 @@ def render_ascii(p: Path) -> str:
     """
     if not p.steps:
         return ""
-    cells: dict[tuple[int, int], str] = {}
     hs = p.heights
+    top = max(map(min, hs, hs[1:]))  # each step's band is the lower of its two heights
+    width = len(p.steps) + p.steps.count(FLAT)
+    rows = [bytearray(b" " * width) for _ in range(top - min(hs) + 1)]
+    glyphs = {UP: (0, b"/"), FLAT: (0, b"__"), DOWN: (1, b"\\")}  # (bands below h, glyph)
     x = 0
-    for i, c in enumerate(p.steps):
-        h = hs[i]
-        if c == UP:
-            cells[(h, x)] = "/"
-        elif c == DOWN:
-            cells[(h - 1, x)] = "\\"
-        else:
-            cells[(h, x)] = "_"
-            cells[(h, x + 1)] = "_"
-        x += STEP_WIDTH[c]
-    bands = [band for band, _ in cells]
-    rows = []
-    for band in range(max(bands), min(bands) - 1, -1):
-        row = {col: ch for (b, col), ch in cells.items() if b == band}
-        width = max(row) + 1 if row else 0
-        rows.append("".join(row.get(col, " ") for col in range(width)))
-    return "\n".join(rows)
+    for c, h in zip(p.steps, hs):
+        drop, glyph = glyphs[c]
+        rows[top - h + drop][x : x + len(glyph)] = glyph
+        x += len(glyph)
+    return "\n".join(row.decode().rstrip() for row in rows)

@@ -214,6 +214,16 @@ def test_landmarks_examples():
     assert flip("UUDDUDUUUDUDDUDDUDUUDD", {"marks": frozenset({6})})[1] == {"v1": 9, "v2": 16}
     assert flip("UUDDUD", {"marks": frozenset({4})})[1] == {"v1": 2, "v2": 6}
     assert flip("UD", {"marks": frozenset()})[1] == {"v1": 1, "v2": 2}
+    # the kernel reads v1 and v2 off the unflipped heights; check them on g itself
+    expand = FORWARD_KERNELS["expand-flats"]
+    for p in above_components(6):
+        inner = p.steps[1:-1]
+        if not inner:
+            continue
+        g, ann = flip(*expand(inner, {}))
+        hs = Path(g).heights
+        v2 = max(v for v in range(1, len(hs)) if hs[v] == 0 and g[v - 1] == "U")
+        assert ann == {"v1": hs.index(min(hs)), "v2": v2}, p
 
 
 def test_interchange_examples():

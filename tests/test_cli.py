@@ -35,6 +35,32 @@ def test_unmap_worked_example(capsys):
     assert out == "DUUDDDUUUUUDFDD\n"
 
 
+def test_help_lists_map_and_unmap(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    top = help_text(["--help"]).splitlines()
+    assert top[0] == "usage: pathbij [-h] {enumerate,count,map,unmap,verify,perms,oeis,render} ..."
+    verbs = [line.split()[0] for line in top if line.startswith("    ") and line[4] != " "]
+    assert verbs == ["enumerate", "count", "map", "unmap", "verify", "perms", "oeis", "render"]
+    assert "    map                 apply the forward bijection to a path" in top
+    assert "    unmap               apply the inverse bijection to a path" in top
+    for verb in ("map", "unmap"):
+        assert help_text([verb, "--help"]) == (
+            f"usage: pathbij {verb} [-h] --path PATH [--trace]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help   show this help message and exit\n"
+            "  --path PATH\n"
+            "  --trace      print the pipeline stages\n"
+        )
+
+
 def test_map_trace_single_component(capsys):
     code, out, _ = run(["map", "--path", "UUUDFDD", "--trace"], capsys)
     assert code == 0

@@ -155,6 +155,11 @@ def test_render_ascii_goldens():
     assert render_ascii(parse_path("")) == ""
     assert render_ascii(parse_path("UFD")) == " __\n/  \\"
     assert render_ascii(parse_path("UUDD")) == " /\\\n/  \\"
+    assert render_ascii(parse_path("UU")) == " /\n/"  # ends off ground
+    assert render_ascii(parse_path("DFU")) == "\\__/"  # a flat below ground
+    assert render_ascii(parse_path("UFDDFU")) == " __\n/  \\\n    \\__/"
+    assert render_ascii(parse_path("DDFFUU")) == "\\      /\n \\____/"
+    assert render_ascii(parse_path("UFUFDD")) == "    __\n __/  \\\n/      \\"  # flats on two heights
 
 
 def test_render_ascii_below_ground():
