@@ -238,8 +238,8 @@ def _swapped_preimages(q):
     return map_word(_SWAPPED.get(q, q), True)
 
 
-def _last_b_extended(n):
-    words = list(class_b_words(n))
+def _last_b_extended(n, enumerate_b=class_b_words):
+    words = list(enumerate_b(n))
     return words[:-1] + [words[-1] + "F"]  # still sorted and as many
 
 
@@ -255,15 +255,16 @@ def _last_b_extended(n):
             "class B enumeration is not strictly sorted", id="sorted",
         ),
         pytest.param(
-            # checked whole, so that map_word gives its own error
-            "class_a_words", lambda n: ["F" if w == "DU" else w for w in class_a_words(n)], 1,
-            "error for F: input is not a grand Schroeder path with all flatsteps on y=2",
+            # two words outside class A: the first one is named
+            "class_a_words",
+            lambda n: [{"DU": "F", "UD": "U"}.get(w, w) for w in class_a_words(n)],
+            1,
+            "class A enumeration holds F, not in A_1",
             id="outside-class-a",
         ),
         pytest.param(
             "class_a_words", lambda n: ["U" if w == "DU" else w for w in class_a_words(n)], 1,
-            "error for U: input is not a grand Schroeder path with all flatsteps on y=2",
-            id="off-ground",
+            "class A enumeration holds U, not in A_1", id="off-ground",
         ),
         pytest.param(
             "map_word", _faulty(forward=lambda w: map_word(w) + "UD"), 1,
@@ -283,11 +284,11 @@ def _last_b_extended(n):
         ),
         pytest.param(
             "class_b_words", _last_b_extended, 1,
-            "image of the forward map differs from the class B enumeration", id="image",
+            "class B enumeration holds UDF, not in B_1", id="outside-class-b",
         ),
         pytest.param(
             "map_word", _faulty(backward=_swapped_preimages), 3,
-            "forward roundtrip failed for UFFD", id="forward-roundtrip",
+            "inverse roundtrip failed for DDDUUU", id="swapped-preimages",
         ),
         pytest.param(
             "census_of", lambda a, b: census_of(a, b)._replace(below_a=0), 1,
@@ -356,10 +357,61 @@ def test_verify_fails_no_later_size_for_a_word_outside_class_a(capsys, monkeypat
     monkeypatch.setattr(pathbij.cli, "class_a_words", faulty)
     code, out, _ = run(["verify", "--max-size", "2"], capsys)
     assert code == 1
-    assert out.splitlines()[-1] == "n=2: |A|=6 |B|=6 bijection OK"
+    assert out.splitlines()[1:] == [
+        "n=1: |A|=2 |B|=2 bijection FAILED",
+        "  class A enumeration holds F, not in A_1",
+        "n=2: |A|=6 |B|=6 bijection OK",
+    ]
 
 
-def test_verify_compares_the_images_when_the_classes_differ_in_size(capsys, monkeypatch):
+def test_verify_checks_the_size_of_each_class_a_word(capsys, monkeypatch):
+    # UUFDDUD lies in class A and keeps the enumeration sorted and as long, but has size 4,
+    # so the indecomposable UUFDD it replaces is never mapped.
+    def faulty(n):
+        return (w + "UD" if w == "UUFDD" else w for w in class_a_words(n))
+
+    monkeypatch.setattr(pathbij.cli, "class_a_words", faulty)
+    code, out, err = run(["verify", "--max-size", "3"], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[2:] == [
+        "n=2: |A|=6 |B|=6 bijection OK",
+        "n=3: |A|=21 |B|=21 bijection FAILED",
+        "  class A enumeration holds UUFDDUD, not in A_3",
+    ]
+
+
+def _count_enumerations(monkeypatch):
+    """Record the size of each ``class_a_words``/``class_b_words`` call, by name."""
+    enumerated = {"class_a_words": [], "class_b_words": []}
+
+    def counting(name, fn):
+        def counted(n):
+            enumerated[name].append(n)
+            return fn(n)
+
+        return counted
+
+    # indec_census would reach the enumerators through the families module's globals.
+    for name in enumerated:
+        counted = counting(name, getattr(pathbij.families, name))
+        monkeypatch.setattr(pathbij.families, name, counted)
+        monkeypatch.setattr(pathbij.cli, name, counted)
+    return enumerated
+
+
+def test_verify_enumerates_each_size_once_under_a_fault(capsys, monkeypatch):
+    enumerated = _count_enumerations(monkeypatch)
+    counted_b = pathbij.cli.class_b_words
+    monkeypatch.setattr(pathbij.cli, "class_b_words", lambda n: _last_b_extended(n, counted_b))
+    code, out, err = run(["verify", "--max-size", "3", "--census"], capsys)
+    assert enumerated == {"class_a_words": [0, 1, 2, 3], "class_b_words": [0, 1, 2, 3]}
+    assert code == 1
+    assert err == ""
+    assert "  class B enumeration holds UDF, not in B_1" in out.splitlines()
+
+
+def test_verify_fails_when_the_classes_differ_in_size(capsys, monkeypatch):
     # B's count and enumeration agree with each other, but not with A's.
     def short(max_n):
         series = count_class_b_series(max_n)
@@ -373,7 +425,6 @@ def test_verify_compares_the_images_when_the_classes_differ_in_size(capsys, monk
     assert out.splitlines()[1:] == [
         "n=1: |A|=2 |B|=1 bijection FAILED",
         "  recurrence count 2 != DP counts 2 (A), 1 (B)",
-        "  image of the forward map differs from the class B enumeration",
     ]
 
 
@@ -430,21 +481,8 @@ def test_verify_runs_each_counter_once(capsys, monkeypatch):
 def test_verify_maps_each_distinct_component_once_per_run(capsys, monkeypatch):
     indecomposables = sum(is_indecomposable(p) for n in range(6) for p in enumerate_class_a(n))
     assert indecomposables == 73
-    enumerated = {"class_a_words": [], "class_b_words": []}
+    enumerated = _count_enumerations(monkeypatch)
     runs = {False: [], True: []}
-
-    def counting(name, fn):
-        def counted(n):
-            enumerated[name].append(n)
-            return fn(n)
-
-        return counted
-
-    # indec_census would reach the enumerators through the families module's globals.
-    for name in enumerated:
-        counted = counting(name, getattr(pathbij.families, name))
-        monkeypatch.setattr(pathbij.families, name, counted)
-        monkeypatch.setattr(pathbij.cli, name, counted)
     real_run = pathbij.bijection._run
 
     def counted_run(steps, inverse, stages=None):
