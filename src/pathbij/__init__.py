@@ -9,11 +9,9 @@ and OEIS b-file comparison.
 """
 
 from .bijection import (
-    Direction,
     InverseDomainError,
     NotInClass,
     Stage,
-    StageTrace,
     phi,
     phi_inverse,
     trace_components,
@@ -51,7 +49,6 @@ from .paths import (
     PathbijError,
     Step,
     components,
-    concat,
     in_class_a,
     in_class_b,
     is_indecomposable,
@@ -80,7 +77,6 @@ __all__ = [
     "ComponentView",
     "DEFAULT_PATTERNS",
     "DOWN",
-    "Direction",
     "FLAT",
     "InvalidCharacter",
     "InverseDomainError",
@@ -96,12 +92,10 @@ __all__ = [
     "SequenceTable",
     "SizeTooLarge",
     "Stage",
-    "StageTrace",
     "Step",
     "UP",
     "compare_sequence",
     "components",
-    "concat",
     "contains_pattern",
     "count_avoiders",
     "count_class_a",

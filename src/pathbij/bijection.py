@@ -30,7 +30,6 @@ verifies exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from .paths import (
     DOWN,
@@ -182,9 +181,6 @@ def _run(steps: str, inverse: bool, stages: list[Stage] | None = None) -> str:
     return out
 
 
-Direction = Literal["forward", "inverse"]
-
-
 @dataclass(frozen=True)
 class Stage:
     """One labelled value in a pipeline trace, with any landmarks it carries."""
@@ -205,18 +201,6 @@ class Stage:
         if self.w is not None:
             out += f" w={self.w}"
         return out
-
-
-@dataclass(frozen=True)
-class StageTrace:
-    direction: str
-    stages: tuple[Stage, ...]
-
-    def lines(self) -> list[str]:
-        return [s.line() for s in self.stages]
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
 
 
 def _components(steps: str, inverse: bool) -> list[str]:
@@ -249,20 +233,17 @@ def phi_inverse(q: Path) -> Path:
     return Path(map_word(q.steps, True))
 
 
-def trace_components(p: Path, direction: Direction = "forward") -> tuple[StageTrace, ...]:
-    """The stage trace of each component of a whole path, in order.
+def trace_components(p: Path, *, inverse: bool = False) -> tuple[tuple[Stage, ...], ...]:
+    """The stages of ``phi`` (``phi_inverse`` if ``inverse``) on each component of p, in order.
 
     Class membership is checked once, as in ``phi`` and ``phi_inverse``, with
-    the same error; the traces' output stages concatenate to the image.
+    the same error; the components' output stages concatenate to the image.
     Below-ground (forward) and peak-free (inverse) components map in a single
     composite move, so their traces have just the input and output stages.
     """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', not {direction!r}")
-    inverse = direction == "inverse"
     traces = []
     for s in _components(p.steps, inverse):
         stages: list[Stage] = []
         _run(s, inverse, stages)
-        traces.append(StageTrace(direction, tuple(stages)))
+        traces.append(tuple(stages))
     return tuple(traces)

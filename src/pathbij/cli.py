@@ -2,20 +2,22 @@
 
 One verb per capability: enumerate, count, map, unmap, verify, perms, oeis,
 render.  All output is line-oriented UTF-8; path strings use the U/F/D
-grammar.  Exit codes: 0 success or verified, 1 verification mismatch or an
-inverse-stage domain failure, 2 usage or parse errors.
+grammar.  Exit codes: 0 success or verified, 1 verification mismatch, an
+inverse-stage domain failure or an output pipe closed by its reader, 2 usage
+or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import Sequence
 
 from .bijection import InverseDomainError, map_word, phi, phi_inverse, trace_components
 from .families import (
-    census_of,
+    Census,
     class_a_words,
     class_b_words,
     count_class_a_series,
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_map = sub.add_parser(verb, help=f"apply the {direction} bijection to a path")
         p_map.add_argument("--path", required=True)
         p_map.add_argument("--trace", action="store_true", help="print the pipeline stages")
-        p_map.set_defaults(func=cmd_map, direction=direction)
+        p_map.set_defaults(func=cmd_map, inverse=(verb == "unmap"))
 
     p_verify = sub.add_parser(
         "verify", help="exhaustively check the bijection and counters up to a size"
@@ -138,15 +140,15 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     p = parse_path(args.path)
     if not args.trace:
-        print((phi if args.direction == "forward" else phi_inverse)(p).steps)
+        print((phi_inverse if args.inverse else phi)(p).steps)
         return 0
-    traces = trace_components(p, args.direction)  # checks the input before anything prints
-    for i, trace in enumerate(traces):
+    traces = trace_components(p, inverse=args.inverse)  # checks the input before anything prints
+    for i, stages in enumerate(traces):
         if len(traces) > 1:
-            print(f"component {i + 1}: {trace.stages[0].path.steps}")
-        for line in trace.lines():
-            print(line)
-    print("".join(trace.stages[-1].path.steps for trace in traces))
+            print(f"component {i + 1}: {stages[0].path.steps}")
+        for stage in stages:
+            print(stage.line())
+    print("".join(stages[-1].path.steps for stages in traces))
     return 0
 
 
@@ -189,7 +191,7 @@ def check_size(
     (``cmd_verify`` checks the middle equality) makes it onto B_n.
     """
     problems = [f"smaller components failed: {len(failed)}, first {failed[0]}"] if failed else []
-    a_indec, b_indec = [], []  # single-component words only: few beside the paths
+    kinds = [0, 0, 0, 0]  # the census: below_a, above_a, nopeak_b, onepeak_b
     len_a, a_sorted, a_outside, last = 0, True, None, None
     for len_a, p in enumerate(class_a_words(n), 1):
         a_sorted = a_sorted and (last is None or last < p)
@@ -202,8 +204,7 @@ def check_size(
             problems += found
             if found:
                 failed.append(p)
-            if census:
-                a_indec.append(p)
+            kinds[p[0] != DOWN] += 1
     len_b, b_sorted, b_outside, last = 0, True, None, None
     for len_b, q in enumerate(class_b_words(n), 1):
         b_sorted = b_sorted and (last is None or last < q)
@@ -212,7 +213,7 @@ def check_size(
         if _size_of(q) != n or not class_b_word(q, q_hs):
             b_outside = q if b_outside is None else b_outside
         elif census and q_hs.count(0) == 2:
-            b_indec.append(q)
+            kinds[2 + (UP + DOWN in q)] += 1  # a peak is a UD factor
     problems = [
         message
         for bad, message in [
@@ -226,7 +227,7 @@ def check_size(
         if bad
     ] + problems
     if census and n >= 1:
-        c = census_of(a_indec, b_indec)
+        c = Census(*kinds)
         if c.below_a != c.nopeak_b or c.above_a != c.onepeak_b:
             problems.append(f"census mismatch: {c}")
     return problems
@@ -289,6 +290,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PathbijError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InverseDomainError) else 2
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does).  Point stdout at devnull so
+        # the flush at exit raises nothing more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

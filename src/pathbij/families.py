@@ -18,7 +18,7 @@ first-return decompositions; the dynamic programs are its oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .paths import DOWN, FLAT, UP, Path, step_heights
 
@@ -172,13 +172,6 @@ class Census(NamedTuple):
     onepeak_b: int
 
 
-def census_of(a_indec: Sequence[str], b_indec: Sequence[str]) -> Census:
-    """Counts of indecomposable step words: of A by side and of B by peak count."""
-    below = sum(p[0] == DOWN for p in a_indec)
-    nopeak = sum(UP + DOWN not in q for q in b_indec)  # a peak is a UD factor
-    return Census(below, len(a_indec) - below, nopeak, len(b_indec) - nopeak)
-
-
 def indec_census(n: int) -> Census:
     """Indecomposable counts: flat-line grand paths by side, peak-limited paths by peak count."""
     if n < 1:
@@ -186,4 +179,6 @@ def indec_census(n: int) -> Census:
     # A ground-terminated word is indecomposable iff it touches ground only at its two ends.
     a = [p for p in class_a_words(n) if step_heights(p).count(0) == 2]
     b = [q for q in class_b_words(n) if step_heights(q).count(0) == 2]
-    return census_of(a, b)
+    below = sum(p[0] == DOWN for p in a)
+    nopeak = sum(UP + DOWN not in q for q in b)  # a peak is a UD factor
+    return Census(below, len(a) - below, nopeak, len(b) - nopeak)

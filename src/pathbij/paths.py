@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 Step = Literal["U", "F", "D"]
 
@@ -104,10 +104,6 @@ class Path:
 def parse_path(text: str) -> Path:
     """Parse a step word such as ``"UFD"``; the empty string is the empty path."""
     return Path(text)
-
-
-def concat(parts: Iterable[Path]) -> Path:
-    return Path("".join(part.steps for part in parts))
 
 
 def class_a_word(steps: str, heights: Sequence[int], flat_line: int = 2) -> bool:

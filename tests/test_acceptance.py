@@ -71,9 +71,8 @@ def test_criterion_3_stage_trace_golden():
     block swap, so the flattened tail reads F,U,F,D rather than a second
     trailing U,U,D,D hump, which would contradict the one-peak guarantee)."""
     t0 = time.perf_counter()
-    (trace,) = trace_components(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"), "forward")
+    (stages,) = trace_components(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"))
     elapsed = time.perf_counter() - t0
-    stages = trace.stages
     assert [(s.label, s.path.steps) for s in stages[:5]] == [
         ("input", "UUUDDUFUUDUDDUDDUDUUDDD"),
         ("strip-ends", "UUDDUFUUDUDDUDDUDUUDD"),

@@ -71,9 +71,9 @@ def above_components(max_size):
                 yield p
 
 
-def trace_one(component, direction="forward"):
-    (trace,) = trace_components(component, direction)
-    return trace
+def trace_one(component, inverse=False):
+    (stages,) = trace_components(component, inverse=inverse)
+    return stages
 
 
 # Per-stage goldens, keyed by the forward label of each row of the stage table:
@@ -341,9 +341,9 @@ def test_properties_beyond_exhaustive_sizes(case):
     p_parts, q_parts = components(p).paths, components(q).paths
     assert [c.size for c in p_parts] == [c.size for c in q_parts]
     assert [len(peak_apexes(c)) for c in q_parts] == [int(above) for above in sides]
-    forward = [trace_one(c, "forward").stages[-1].path.steps for c in p_parts]
+    forward = [trace_one(c)[-1].path.steps for c in p_parts]
     assert "".join(forward) == q.steps
-    inverse = [trace_one(c, "inverse").stages[-1].path.steps for c in q_parts]
+    inverse = [trace_one(c, inverse=True)[-1].path.steps for c in q_parts]
     assert "".join(inverse) == p.steps
 
 
@@ -376,7 +376,7 @@ def test_trace_forward_worked_stages():
     F,U,F,D.  A rendering of this pipeline whose tail keeps a second trailing
     U,U,D,D hump would contradict the exactly-one-peak output guarantee.
     """
-    trace = trace_one(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"), "forward")
+    stages = trace_one(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"))
     expected = [
         ("input", "UUUDDUFUUDUDDUDDUDUUDDD"),
         ("strip-ends", "UUDDUFUUDUDDUDDUDUUDD"),
@@ -386,38 +386,38 @@ def test_trace_forward_worked_stages():
         ("flatten-peaks", "FUFUUDDUUFDDDFUFD"),
         ("output", "UFUFUUDDUUFDDDFUFDD"),
     ]
-    assert [(s.label, s.path.steps) for s in trace.stages] == expected
-    assert trace.stages[2].marks == {6}
-    assert (trace.stages[3].v1, trace.stages[3].v2) == (9, 16)
-    assert trace.stages[4].w == 7
-    assert trace.stages[5].path.steps.endswith("FUFD")
-    assert len(peak_apexes(trace.stages[6].path)) == 1
+    assert [(s.label, s.path.steps) for s in stages] == expected
+    assert stages[2].marks == {6}
+    assert (stages[3].v1, stages[3].v2) == (9, 16)
+    assert stages[4].w == 7
+    assert stages[5].path.steps.endswith("FUFD")
+    assert len(peak_apexes(stages[6].path)) == 1
 
 
 def test_trace_forward_below_component():
-    trace = trace_one(parse_path("DU"), "forward")
-    assert [(s.label, s.path.steps) for s in trace.stages] == [("input", "DU"), ("output", "F")]
+    stages = trace_one(parse_path("DU"))
+    assert [(s.label, s.path.steps) for s in stages] == [("input", "DU"), ("output", "F")]
 
 
 def test_trace_forward_degenerate():
-    trace = trace_one(parse_path("UD"), "forward")
-    labels = [s.label for s in trace.stages]
+    stages = trace_one(parse_path("UD"))
+    labels = [s.label for s in stages]
     assert labels == [
         "input", "strip-ends", "expand-flats", "flip-components",
         "interchange", "flatten-peaks", "output",
     ]
-    assert [s.path.steps for s in trace.stages] == ["UD", "", "", "", "", "", "UD"]
+    assert [s.path.steps for s in stages] == ["UD", "", "", "", "", "", "UD"]
 
 
 def test_trace_inverse_roundtrips_forward():
     """The inverse trace lists the forward trace's values in reverse, with the same marks and w."""
     for p in above_components(6):
-        fwd = trace_one(p, "forward")
-        inv = trace_one(fwd.stages[-1].path, "inverse")
-        assert [(s.path, s.marks, s.w) for s in inv.stages] == [
-            (s.path, s.marks, s.w) for s in reversed(fwd.stages)
+        fwd = trace_one(p)
+        inv = trace_one(fwd[-1].path, inverse=True)
+        assert [(s.path, s.marks, s.w) for s in inv] == [
+            (s.path, s.marks, s.w) for s in reversed(fwd)
         ]
-        swapped = fwd.stages[4]
+        swapped = fwd[4]
         assert swapped.label == "interchange"
         if swapped.path.steps:
             assert min(swapped.path.heights) >= 0
@@ -425,7 +425,7 @@ def test_trace_inverse_roundtrips_forward():
 
 
 def test_trace_serialization():
-    lines = trace_one(parse_path("UUUDFDD"), "forward").lines()
+    lines = [s.line() for s in trace_one(parse_path("UUUDFDD"))]
     assert lines == [
         "input: UUUDFDD",
         "strip-ends: UUDFD",
@@ -441,24 +441,25 @@ def test_trace_components_agree_with_the_maps():
     for n in range(6):
         for p in enumerate_class_a(n):
             q = phi(p)
-            for x, y, direction in ((p, q, "forward"), (q, p, "inverse")):
-                traces = trace_components(x, direction)
+            for x, y, inverse in ((p, q, False), (q, p, True)):
+                traces = trace_components(x, inverse=inverse)
                 parts = components(x).paths
-                assert traces == tuple(trace_one(c, direction) for c in parts)
-                assert "".join(t.stages[-1].path.steps for t in traces) == y.steps
+                assert traces == tuple(trace_one(c, inverse) for c in parts)
+                assert "".join(stages[-1].path.steps for stages in traces) == y.steps
 
 
 def test_trace_components_check_like_the_maps():
-    for f, bad, direction in (
-        (phi, "UUDDUU", "forward"),
-        (phi, "F", "forward"),
-        (phi_inverse, "UUDUDD", "inverse"),
-        (phi_inverse, "DU", "inverse"),
+    for f, bad, inverse in (
+        (phi, "UUDDUU", False),
+        (phi, "F", False),
+        (phi_inverse, "UUDUDD", True),
+        (phi_inverse, "DU", True),
     ):
         with pytest.raises(NotInClass) as mapped:
             f(parse_path(bad))
         with pytest.raises(NotInClass) as traced:
-            trace_components(parse_path(bad), direction)
+            trace_components(parse_path(bad), inverse=inverse)
         assert str(traced.value) == str(mapped.value)
-    with pytest.raises(ValueError):
-        trace_components(parse_path("UD"), "sideways")
+    # The flag is keyword-only: a truthy positional string such as "forward" is refused.
+    with pytest.raises(TypeError):
+        trace_components(parse_path("UD"), "forward")

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -14,7 +18,7 @@ from pathbij import (
 )
 from pathbij.bijection import map_word
 from pathbij.cli import main
-from pathbij.families import census_of, class_a_words, class_b_words
+from pathbij.families import Census, class_a_words, class_b_words, indec_census
 
 
 def run(argv, capsys):
@@ -291,7 +295,7 @@ def _last_b_extended(n, enumerate_b=class_b_words):
             "inverse roundtrip failed for DDDUUU", id="swapped-preimages",
         ),
         pytest.param(
-            "census_of", lambda a, b: census_of(a, b)._replace(below_a=0), 1,
+            "Census", lambda *counts: Census(*counts)._replace(below_a=0), 1,
             "census mismatch: Census(below_a=0, above_a=1, nopeak_b=1, onepeak_b=1)", id="census",
         ),
     ],
@@ -509,6 +513,38 @@ def test_verify_peak_memory_is_small(capsys):
     assert peak < 2_000_000
 
 
+def _verify_peak(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, _, _ = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_verify_census_adds_no_memory(capsys):
+    # The census is four counters, not a list of the indecomposables of each size.
+    _verify_peak(["verify", "--max-size", "1", "--census"], capsys)  # warm-up
+    plain = _verify_peak(["verify", "--max-size", "8"], capsys)
+    census = _verify_peak(["verify", "--max-size", "8", "--census"], capsys)
+    assert census <= plain + 64_000
+
+
+def test_verify_tallies_the_reference_census(capsys, monkeypatch):
+    tallied = []
+
+    def recording(*counts):
+        tallied.append(Census(*counts))
+        return tallied[-1]
+
+    monkeypatch.setattr(pathbij.cli, "Census", recording)
+    code, _, _ = run(["verify", "--max-size", "7", "--census"], capsys)
+    assert code == 0
+    assert tallied == [indec_census(n) for n in range(1, 8)]
+
+
 def test_verify_census(capsys):
     code, out, _ = run(["verify", "--max-size", "3", "--census"], capsys)
     assert code == 0
@@ -582,6 +618,18 @@ def test_oeis_undecodable_file(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot read {bfile}: ")
     assert "Traceback" not in err
+
+def test_closed_output_pipe_exits_one_without_a_traceback():
+    path = [str(pathlib.Path(pathbij.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-m", "pathbij.cli", "enumerate", "--class", "A", "--size", "9"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"DDDDDDDDDUUUUUUUUU\n"
+    proc.stdout.close()  # as `| head -1` does, long before the last of A_9 is written
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
 
 @pytest.mark.parametrize(
     "argv",
