@@ -16,11 +16,12 @@ each indecomposable component independently:
   steps -- giving a component with exactly one peak.
 
 Each stage is defined once, as a private kernel on step strings paired with
-its inverse in ``_ABOVE_STAGES``; ``_run`` runs the table forwards, backwards,
-and with stage recording for the trace.  ``map_word`` (under ``phi`` and
-``phi_inverse``) joins the ``_run`` images of its input's components, so a
-word's image is decided by its components'.  It and ``trace_components``
-check class membership once, so the kernels re-check nothing it implies.
+its inverse in ``_ABOVE_STAGES``.  ``_run`` runs the table forwards or
+backwards on one component and returns the values the component passes
+through; ``map_word`` (under ``phi`` and ``phi_inverse``) joins the last value
+of each of its input's components, so a word's image is decided by its
+components', and ``trace_components`` wraps the same values as ``Stage``s.
+Both check class membership once, so the kernels re-check nothing it implies.
 The inverse kernels check that their input lies in the forward stage's image
 and raise ``InverseDomainError`` otherwise; for genuine class members those
 checks never fire, which is exactly the reversibility claim the test suite
@@ -45,6 +46,7 @@ from .paths import (
 )
 
 _PEAK = UP + DOWN
+_BARE: dict = {}  # the annotations of a value that carries none; shared, never mutated
 
 
 class InverseDomainError(PathbijError):
@@ -153,32 +155,28 @@ _ABOVE_STAGES = (
 )
 
 
-def _run(steps: str, inverse: bool, stages: list[Stage] | None = None) -> str:
-    """Map one component of a class member; record each value in ``stages`` if given.
+def _run(steps: str, inverse: bool) -> list[tuple[str, str, dict]]:
+    """The ``(label, steps, annotations)`` values one component passes through, in order.
 
-    The table's kernels see the component without its outer steps, which is
-    the empty word for size 1.
+    The first is ``input``, the last ``output``.  The table's kernels see the
+    component without its outer steps, which is the empty word for size 1.
     """
-    if stages is not None:
-        stages.append(Stage("input", Path(steps)))
+    values = [("input", steps, _BARE)]
     if not inverse and steps[0] == DOWN:  # below ground: mirror, flatten every peak
         out = _flatten(steps.translate(MIRROR))
     elif inverse and _PEAK not in steps:  # peak-free: undo the below-ground move
         out = steps.replace(FLAT, _PEAK).translate(MIRROR)
     else:
-        inner, ann = steps[1:-1], {}
-        if stages is not None:
-            stages.append(Stage("strip-ends", Path(inner)))
+        inner, ann = steps[1:-1], _BARE
+        values.append(("strip-ends", inner, ann))
         for row in reversed(_ABOVE_STAGES) if inverse else _ABOVE_STAGES:
             label, kernel = row[2:] if inverse else row[:2]
             if inner:
                 inner, ann = kernel(inner, ann)
-            if stages is not None:
-                stages.append(Stage(label, Path(inner), **ann))
+            values.append((label, inner, ann))
         out = UP + inner + DOWN
-    if stages is not None:
-        stages.append(Stage("output", Path(out)))
-    return out
+    values.append(("output", out, _BARE))
+    return values
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def _components(steps: str, inverse: bool) -> list[str]:
 
 def map_word(steps: str, inverse: bool = False) -> str:
     """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time."""
-    return "".join(_run(s, inverse) for s in _components(steps, inverse))
+    return "".join(_run(s, inverse)[-1][1] for s in _components(steps, inverse))
 
 
 def phi(p: Path) -> Path:
@@ -241,9 +239,7 @@ def trace_components(p: Path, *, inverse: bool = False) -> tuple[tuple[Stage, ..
     Below-ground (forward) and peak-free (inverse) components map in a single
     composite move, so their traces have just the input and output stages.
     """
-    traces = []
-    for s in _components(p.steps, inverse):
-        stages: list[Stage] = []
-        _run(s, inverse, stages)
-        traces.append(tuple(stages))
-    return tuple(traces)
+    return tuple(
+        tuple(Stage(label, Path(steps), **ann) for label, steps, ann in _run(s, inverse))
+        for s in _components(p.steps, inverse)
+    )

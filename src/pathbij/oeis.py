@@ -9,6 +9,7 @@ supplied by the caller, nothing is fetched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .paths import PathbijError
@@ -93,7 +94,7 @@ class ComparisonReport:
     def summary(self) -> str:
         if self.first_mismatch is None:
             return f"MATCH {self.matches}/{self.matches}"
-        return f"MISMATCH at n={self.first_mismatch.index}"
+        return f"MISMATCH at n={self.matches}"  # n is the size, not the b-file index
 
 
 def compare_sequence(
@@ -102,8 +103,10 @@ def compare_sequence(
     """Compare computed[i] against table[start_index + i], stopping at the first mismatch."""
     missing = [start_index + i for i in range(len(computed)) if start_index + i not in table.entries]
     if missing:
-        name = table.source_name or "table"
-        raise RangeNotCovered(f"{name} lacks indices {missing[0]}..{missing[-1]}")
+        # Runs of consecutive missing indices share a value of index - position.
+        runs = [[i for _, i in g] for _, g in groupby(enumerate(missing), lambda t: t[1] - t[0])]
+        spans = " and ".join(f"{run[0]}..{run[-1]}" for run in runs)
+        raise RangeNotCovered(f"{table.source_name or 'table'} lacks indices {spans}")
     matches = 0
     for i, got in enumerate(computed):
         index = start_index + i

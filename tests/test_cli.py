@@ -333,10 +333,10 @@ def test_verify_names_a_faulty_component_once_per_run(component, line, capsys, m
     real_run = pathbij.bijection._run
     k = _size(component)
 
-    def faulty_run(steps, inverse, stages=None):
+    def faulty_run(steps, inverse):
         if steps == component and not inverse:
-            return "F" * k
-        return real_run(steps, inverse, stages)
+            return [("input", steps, {}), ("output", "F" * k, {})]
+        return real_run(steps, inverse)
 
     monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
     code, out, err = run(["verify", "--max-size", str(k + 2)], capsys)
@@ -489,9 +489,9 @@ def test_verify_maps_each_distinct_component_once_per_run(capsys, monkeypatch):
     runs = {False: [], True: []}
     real_run = pathbij.bijection._run
 
-    def counted_run(steps, inverse, stages=None):
+    def counted_run(steps, inverse):
         runs[inverse].append(steps)
-        return real_run(steps, inverse, stages)
+        return real_run(steps, inverse)
 
     monkeypatch.setattr(pathbij.bijection, "_run", counted_run)
     code, _, _ = run(["verify", "--max-size", "5", "--census"], capsys)
@@ -593,6 +593,25 @@ def test_oeis_mismatch_exits_one(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[-1] == "MISMATCH at n=2"
     assert "computed=6 expected=7 MISMATCH" in out
+
+
+def test_oeis_mismatch_names_the_size_under_an_offset(tmp_path, capsys):
+    bfile = tmp_path / "b_test.txt"
+    bfile.write_text("1 1\n2 2\n3 7\n")
+    argv = ["oeis", "--bfile", str(bfile), "--class", "A", "--max-size", "2", "--offset", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert out.splitlines()[-2:] == ["n=2: computed=6 expected=7 MISMATCH", "MISMATCH at n=2"]
+
+
+def test_oeis_names_only_the_missing_indices(tmp_path, capsys):
+    bfile = tmp_path / "b3.txt"
+    bfile.write_text("0 1\n1 2\n2 6\n")
+    argv = ["oeis", "--bfile", str(bfile), "--class", "A", "--max-size", "5", "--offset", "-1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: b3.txt lacks indices -1..-1 and 3..4\n"
 
 
 def test_oeis_missing_file(tmp_path, capsys):
