@@ -13,7 +13,7 @@ import argparse
 import os
 import pathlib
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import InverseDomainError, map_word, phi, phi_inverse, trace_components
 from .families import (
@@ -176,6 +176,27 @@ def _component_problems(c: str) -> list[str]:
     return problems
 
 
+def _scan(
+    name: str, words: Iterable[str], n: int, count: int, member: Callable[..., bool], premises: list
+) -> Iterator[str]:
+    """Yield the one-component members of a class's size-n words; once they run out, append
+    that class's count, sorted and outside messages to premises, each "" if it holds."""
+    length, in_order, outside, last = 0, True, None, None
+    for length, w in enumerate(words, 1):
+        in_order = in_order and (last is None or last < w)
+        last = w
+        hs = step_heights(w)
+        if _size_of(w) != n or not member(w, hs):
+            outside = w if outside is None else outside
+        elif hs.count(0) == 2:
+            yield w
+    premises.append((
+        f"count {name} {count} != enumeration {length}" if count != length else "",
+        "" if in_order else f"class {name} enumeration is not strictly sorted",
+        "" if outside is None else f"class {name} enumeration holds {outside}, not in {name}_{n}",
+    ))
+
+
 def check_size(
     n: int, count_a: int, count_b: int, failed: list[str], census: bool = False
 ) -> list[str]:
@@ -188,44 +209,21 @@ def check_size(
     indecomposable of size k <= n passed at size k (a failed one, c, fails each larger
     size, which holds c + UD*(n-k)).  As ``map_word`` joins the components' images, it
     maps A_n into B_n with a left inverse, and |A_n| = count_a = count_b = |B_n|
-    (``cmd_verify`` checks the middle equality) makes it onto B_n.
+    (``cmd_verify`` checks the middle equality) makes it onto B_n.  One scan per class
+    checks those premises and tallies the census; ``census`` adds the comparison line.
     """
     problems = [f"smaller components failed: {len(failed)}, first {failed[0]}"] if failed else []
     kinds = [0, 0, 0, 0]  # the census: below_a, above_a, nopeak_b, onepeak_b
-    len_a, a_sorted, a_outside, last = 0, True, None, None
-    for len_a, p in enumerate(class_a_words(n), 1):
-        a_sorted = a_sorted and (last is None or last < p)
-        last = p
-        p_hs = step_heights(p)
-        if _size_of(p) != n or not class_a_word(p, p_hs):
-            a_outside = p if a_outside is None else a_outside
-        elif p_hs.count(0) == 2:
-            found = _component_problems(p)
-            problems += found
-            if found:
-                failed.append(p)
-            kinds[p[0] != DOWN] += 1
-    len_b, b_sorted, b_outside, last = 0, True, None, None
-    for len_b, q in enumerate(class_b_words(n), 1):
-        b_sorted = b_sorted and (last is None or last < q)
-        last = q
-        q_hs = step_heights(q)
-        if _size_of(q) != n or not class_b_word(q, q_hs):
-            b_outside = q if b_outside is None else b_outside
-        elif census and q_hs.count(0) == 2:
-            kinds[2 + (UP + DOWN in q)] += 1  # a peak is a UD factor
-    problems = [
-        message
-        for bad, message in [
-            (count_a != len_a, f"count A {count_a} != enumeration {len_a}"),
-            (count_b != len_b, f"count B {count_b} != enumeration {len_b}"),
-            (not a_sorted, "class A enumeration is not strictly sorted"),
-            (not b_sorted, "class B enumeration is not strictly sorted"),
-            (a_outside is not None, f"class A enumeration holds {a_outside}, not in A_{n}"),
-            (b_outside is not None, f"class B enumeration holds {b_outside}, not in B_{n}"),
-        ]
-        if bad
-    ] + problems
+    premises: list[tuple[str, str, str]] = []  # per class: count, sorted and outside messages
+    for p in _scan("A", class_a_words(n), n, count_a, class_a_word, premises):
+        found = _component_problems(p)
+        problems += found
+        if found:
+            failed.append(p)
+        kinds[p[0] != DOWN] += 1
+    for q in _scan("B", class_b_words(n), n, count_b, class_b_word, premises):
+        kinds[2 + (UP + DOWN in q)] += 1  # a peak is a UD factor
+    problems = [m for pair in zip(*premises) for m in pair if m] + problems  # A, B by premise
     if census and n >= 1:
         c = Census(*kinds)
         if c.below_a != c.nopeak_b or c.above_a != c.onepeak_b:

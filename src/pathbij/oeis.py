@@ -8,6 +8,7 @@ supplied by the caller, nothing is fetched.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple, Sequence
@@ -65,10 +66,10 @@ def parse_bfile(text: str, source_name: str = "") -> SequenceTable:
         parts = line.split()
         if len(parts) != 2:
             raise MalformedLine(line_number, f"expected 2 fields, got {len(parts)}")
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(line_number, "fields must be integers") from None
+        # int() alone would also take "1_0" and non-ASCII digits such as "\u0661".
+        if not all(re.fullmatch(r"[+-]?[0-9]+", part) for part in parts):
+            raise MalformedLine(line_number, "fields must be integers")
+        index, value = int(parts[0]), int(parts[1])
         if previous is not None and index != previous + 1:
             raise NonContiguousIndex(line_number)
         entries[index] = value

@@ -29,7 +29,7 @@ class SizeTooLarge(PathbijError):
 
 def parse_permutation(text: str) -> Permutation:
     """Parse a digit string like ``"3241"`` into one-line notation."""
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} is not a digit string")
     values = tuple(int(ch) for ch in text)
     if sorted(values) != list(range(1, len(values) + 1)):

@@ -308,6 +308,21 @@ def test_verify_reports_each_problem(name, fault, max_size, line, capsys, monkey
     assert "  " + line in out.splitlines()
 
 
+def test_verify_orders_the_premises_of_both_classes(capsys, monkeypatch):
+    # Faults in both classes: each premise's A line comes before its B line.
+    monkeypatch.setattr(pathbij.cli, "class_a_words", lambda n: reversed(list(class_a_words(n))))
+    monkeypatch.setattr(pathbij.cli, "class_b_words", lambda n: list(class_b_words(n))[1:])
+    code, out, err = run(["verify", "--max-size", "1", "--census"], capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[lines.index("n=1: |A|=2 |B|=2 bijection FAILED") :] == [
+        "n=1: |A|=2 |B|=2 bijection FAILED",
+        "  count B 2 != enumeration 1",
+        "  class A enumeration is not strictly sorted",
+        "  census mismatch: Census(below_a=1, above_a=1, nopeak_b=0, onepeak_b=1)",
+    ]
+
+
 def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
     monkeypatch.setattr(pathbij.cli, "map_word", _faulty(forward=lambda w: map_word(w)[::-1]))
     code, out, err = run(["verify", "--max-size", "3"], capsys)
@@ -559,6 +574,12 @@ def test_perms(capsys):
     assert out == "24\n"
     code, _, err = run(["perms", "--n", "4", "--patterns", "12,xy"], capsys)
     assert code == 2
+
+
+def test_perms_rejects_non_ascii_digits(capsys):
+    code, out, err = run(["perms", "--n", "4", "--patterns", "\u0663\u0662\u0664\u0661"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: '\u0663\u0662\u0664\u0661' is not a digit string\n"
 
 
 def test_render(capsys):

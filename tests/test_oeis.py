@@ -44,6 +44,19 @@ def test_parse_bfile_malformed():
         parse_bfile("0 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text,line_number",
+    [("0 1_0\n1 2\n", 1), ("0 1\n1 \u0662\n", 2), ("0 1\n\uff11 2\n", 2)],
+    ids=["underscore", "arabic-indic", "fullwidth"],
+)
+def test_parse_bfile_takes_only_ascii_decimal_fields(text, line_number):
+    # Python's int() accepts all of these.
+    with pytest.raises(MalformedLine) as exc:
+        parse_bfile(text)
+    assert exc.value.line_number == line_number
+    assert str(exc.value) == f"malformed b-file line {line_number}: fields must be integers"
+
+
 def test_parse_bfile_non_contiguous():
     with pytest.raises(NonContiguousIndex) as exc:
         parse_bfile("0 1\n2 4\n")

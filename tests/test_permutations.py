@@ -25,6 +25,12 @@ def test_parse_permutation():
         parse_permutation("1a3")
 
 
+@pytest.mark.parametrize("text", ["\u0661", "\u0663\u0662\u0664\u0661", "\u00b2"])
+def test_parse_permutation_takes_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="is not a digit string"):
+        parse_permutation(text)
+
+
 def test_parse_patterns():
     assert parse_patterns("3241,3421,4321") == DEFAULT_PATTERNS
     assert parse_patterns(" 21 , 12 ") == ((2, 1), (1, 2))
