@@ -15,6 +15,9 @@ from typing import NamedTuple, Sequence
 
 from .paths import PathbijError
 
+# int() alone would also take "1_0" and non-ASCII digits such as "\u0661".
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 class MalformedLine(PathbijError):
     """A b-file line is not an "index value" pair."""
@@ -66,8 +69,7 @@ def parse_bfile(text: str, source_name: str = "") -> SequenceTable:
         parts = line.split()
         if len(parts) != 2:
             raise MalformedLine(line_number, f"expected 2 fields, got {len(parts)}")
-        # int() alone would also take "1_0" and non-ASCII digits such as "\u0661".
-        if not all(re.fullmatch(r"[+-]?[0-9]+", part) for part in parts):
+        if not all(_INTEGER.fullmatch(part) for part in parts):
             raise MalformedLine(line_number, "fields must be integers")
         index, value = int(parts[0]), int(parts[1])
         if previous is not None and index != previous + 1:

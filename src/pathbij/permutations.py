@@ -3,7 +3,10 @@
 Containment is checked by brute force.  Avoiders of [m] are counted by
 inserting each new maximum wherever it completes no occurrence (a generating
 tree, West 1995): an oracle deliberately independent of the path counters it
-cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.
+cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites still live in
+the parent are tested, and below the root only against occurrences through the
+parent's newest entry: any other occurrence would already have killed the site
+the parent came from.
 """
 
 from __future__ import annotations
@@ -58,14 +61,20 @@ def contains_pattern(perm: Sequence[int], pat: Sequence[int]) -> bool:
     return any(rank_signature(sub) == target for sub in combinations(tuple(perm), k))
 
 
-def _completes(perm: Permutation, site: int, shapes: list[tuple[int, int, tuple]]) -> bool:
-    # A new maximum inserted at site can only play each pattern's maximum.
-    for before_n, after_n, chain in shapes:
-        for before in combinations(perm[:site], before_n):
-            for after in combinations(perm[site:], after_n):
-                sub = before + after
-                if all(sub[a] < sub[b] for a, b in chain):
-                    return True
+def _completes(perm: Permutation, q: int, t: int, shapes: tuple[list, list]) -> bool:
+    # Does a new maximum at site t complete an occurrence that holds perm[q], the old maximum?
+    right = q >= t
+    if right:
+        segments = perm[:t], perm[t:q], perm[q + 1 :]
+    else:
+        segments = perm[:q], perm[q + 1 : t], perm[t:]
+    for counts, chain in shapes[right]:
+        for a in combinations(segments[0], counts[0]):
+            for b in combinations(segments[1], counts[1]):
+                for c in combinations(segments[2], counts[2]):
+                    sub = a + b + c
+                    if all(sub[x] < sub[y] for x, y in chain):
+                        return True
     return False
 
 
@@ -75,27 +84,47 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
         raise ValueError("m must be nonnegative")
     if m > MAX_EXHAUSTIVE:
         raise SizeTooLarge(f"m={m} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
-    pats = frozenset(tuple(p) for p in patterns)
+    pats = frozenset(rank_signature(p) for p in patterns)
     if not pats:
         return math.factorial(m)
     if () in pats:
         return 0  # the empty pattern occurs in every permutation
-    # Per pattern: entries before and after its maximum, the others' value order.
-    shapes = []
+    # The root's full test: a 1 inserted into the empty permutation is an occurrence
+    # of (1,) and of no longer pattern.
+    if (1,) in pats:
+        return int(m == 0)
+    if m <= 1:
+        return 1  # the walk below starts from the one avoider of [1]
+    # Below the root, the new maximum k + 1 is tested only against occurrences that
+    # also hold k, the entry the parent inserted.  That is sound: an occurrence
+    # without k lies in the child with k removed, and with k + 1 renamed k that is
+    # the grandparent with k inserted at the site this one came from, a site that
+    # was live (an occurrence without k + 1 lies in perm, an avoider).  In an
+    # occurrence through both, k is the largest entry but one, so it plays each
+    # pattern's second-largest entry, and the side of the new maximum it lies on
+    # picks the segments of perm the other entries come from.  Per pattern, keyed
+    # by that side: how many entries lie before, between and after the two
+    # largest, and the value order of those entries.
+    shapes: tuple[list, list] = ([], [])
     for p in pats:
-        j = p.index(max(p))
-        order = sorted(range(len(p) - 1), key=(p[:j] + p[j + 1 :]).__getitem__)
-        shapes.append((j, len(p) - 1 - j, tuple(zip(order, order[1:]))))
+        n = len(p)
+        j, i = p.index(n), p.index(n - 1)
+        lo, hi = sorted((i, j))
+        rest = [v for v in p if v < n - 1]
+        order = sorted(range(n - 2), key=rest.__getitem__)
+        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), tuple(zip(order, order[1:]))))
     count = 0
-    stack = [((), [0])]  # an avoider of [k] and its sites still to test for k + 1
+    # An avoider of [k], where k sits in it, and its sites still to test for k + 1.
+    stack = [((1,), 0, [0, 1])]
     while stack:
-        perm, sites = stack.pop()
-        if len(perm) == m:
-            count += 1
+        perm, q, sites = stack.pop()
+        k = len(perm)
+        live = [t for t in sites if not _completes(perm, q, t, shapes)]
+        if k + 1 == m:
+            count += len(live)
             continue
-        live = [s for s in sites if not _completes(perm, s, shapes)]
         for s in live:
             # A site dead for a parent stays dead for every descendant; s splits in two.
             child_sites = [t for t in live if t <= s] + [t + 1 for t in live if t >= s]
-            stack.append((perm[:s] + (len(perm) + 1,) + perm[s:], child_sites))
+            stack.append((perm[:s] + (k + 1,) + perm[s:], s, child_sites))
     return count

@@ -94,6 +94,19 @@ MIXED_LENGTHS = ((1, 3, 2), (4, 2, 3, 1))
 SCAN_SETS = [DEFAULT_PATTERNS, ((),), ((1, 2, 3), (3, 2, 1)), MIXED_LENGTHS, *_random_pattern_sets(8)]
 SCAN_CASES = [(m, pats) for pats in SCAN_SETS for m in range(7)]
 SCAN_CASES += [(7, DEFAULT_PATTERNS), (7, MIXED_LENGTHS)]
+# Length-5 patterns, by where the second-largest entry sits: right of the maximum
+# in the first three sets, left of it in the next two, on both sides in the last.
+LENGTH_FIVE_SETS = [
+    ((1, 2, 3, 5, 4),),
+    ((5, 4, 1, 2, 3),),
+    ((2, 1, 5, 3, 4),),
+    ((1, 4, 2, 5, 3),),
+    ((3, 4, 5, 1, 2),),
+    ((2, 5, 1, 4, 3), (2, 1, 3)),
+]
+SCAN_CASES += [(m, pats) for pats in LENGTH_FIVE_SETS for m in range(8)]
+# A length-1 pattern kills the root's one site: 1 avoider at m = 0, none after.
+SCAN_CASES += [(m, ((1,), (3, 2, 4, 1))) for m in range(7)]
 
 
 def _case_id(case):
@@ -116,3 +129,16 @@ def test_count_avoiders_bound():
         count_avoiders(10)
     with pytest.raises(ValueError):
         count_avoiders(-1)
+
+
+# Published counts for m = 0..9, beyond the reach of the containment scan.
+LITERATURE = {
+    (4, 3, 2, 1): [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359],  # A047889
+    (1, 2, 3): [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],  # Catalan numbers
+    (1, 3, 4, 2): [1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245],  # Bóna, A022558
+}
+
+
+@pytest.mark.parametrize("pattern", LITERATURE, ids=lambda p: "".join(map(str, p)))
+def test_count_avoiders_matches_published_sequences(pattern):
+    assert [count_avoiders(m, (pattern,)) for m in range(10)] == LITERATURE[pattern]
