@@ -30,7 +30,9 @@ verifies exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
+from typing import NamedTuple
 
 from .paths import (
     DOWN,
@@ -46,6 +48,7 @@ from .paths import (
 )
 
 _PEAK = UP + DOWN
+_VALLEY = DOWN + UP
 _BARE: dict = {}  # the annotations of a value that carries none; shared, never mutated
 
 
@@ -69,35 +72,44 @@ def _flatten(s: str, keep: int | None = None) -> str:
 
 
 def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
-    # The k-th flatstep's valley starts k steps later than the flatstep did.
-    flats = [i for i, c in enumerate(s) if c == FLAT]
-    marks = frozenset(i + k + 1 for k, i in enumerate(flats))
-    return s.replace(FLAT, DOWN + UP), {"marks": marks}
+    # The k-th flatstep's valley starts k steps later than the flatstep did, so
+    # its mark is the length of the pieces before it plus 2k + 1.
+    pieces = s.split(FLAT)
+    ends = accumulate(map(len, pieces[:-1]))
+    marks = frozenset(map(add, ends, range(1, 2 * len(pieces) - 1, 2)))
+    return _VALLEY.join(pieces), {"marks": marks}
 
 
 def _contract_marks(s: str, ann: dict) -> tuple[str, dict]:
-    out, start = [], 0
-    for m in sorted(ann["marks"]):
-        if s[m - 1 : m + 1] != DOWN + UP:
+    marks = sorted(ann["marks"])
+    for m in marks:
+        if s[m - 1 : m + 1] != _VALLEY:
             raise InverseDomainError(f"vertex {m} is not between a downstep and an upstep")
-        out += (s[start : m - 1], FLAT)
+    # Each valley around a mark becomes one flatstep.
+    pieces, start = [], 0
+    for m in marks:
+        pieces.append(s[start : m - 1])
         start = m + 1
-    out.append(s[start:])
-    return "".join(out), {}
+    pieces.append(s[start:])
+    return FLAT.join(pieces), {}
 
 
 def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
-    # s is a Dyck path, so the flipped components are exactly g's below-ground
-    # ones: v1, g's leftmost lowest vertex, is the leftmost vertex where s is
-    # highest within them, and v2, g's last upstep to ground, ends the last one.
-    hs, parts, v1, v2 = step_heights(s), [], 0, 0
-    for start, part in split_components(s, hs):
-        if start == 0 or start in ann["marks"]:
-            part, v2 = part.translate(MIRROR), start + len(part)
-            top = max(hs[start:v2])
-            if top > hs[v1]:
-                v1 = hs.index(top, start)
-        parts.append(part)
+    # s is a Dyck path whose marks are ground vertices (each flatstep sat on
+    # y=1 here, so its valley touches ground).  The leading component and each
+    # one starting at a mark are copied from the mirror image of s, the rest
+    # from s, so the flipped components are exactly g's below-ground ones: v1,
+    # g's leftmost lowest vertex, is the leftmost vertex where s is highest
+    # within them, and v2, g's last upstep to ground, ends the last one.
+    hs, mirrored, parts, v1, v2 = step_heights(s), s.translate(MIRROR), [], 0, 0
+    for start in (0, *sorted(ann["marks"])):
+        end = hs.index(0, start + 1)
+        parts += (s[v2:start], mirrored[start:end])
+        top = max(hs[start:end])
+        if top > hs[v1]:
+            v1 = hs.index(top, start)
+        v2 = end
+    parts.append(s[v2:])
     return "".join(parts), {"v1": v1, "v2": v2}
 
 
@@ -107,15 +119,20 @@ def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
         raise InverseDomainError("expected a nonempty grand Dyck path")
     if g[0] != DOWN:
         raise InverseDomainError("first component must lie below ground")
-    out, marks = [], set()
-    for start, part in split_components(g, hs):
-        if part[0] == DOWN:
-            out.append(part.translate(MIRROR))
-            if start:
-                marks.add(start)
-        else:
-            out.append(part)
-    return "".join(out), {"marks": frozenset(marks)}
+    # A below-ground component starts one vertex before the first height -1
+    # after the end of the previous one; mirror each back above ground.
+    mirrored, parts, starts, start, end = g.translate(MIRROR), [], [], 0, 0
+    while True:
+        parts.append(g[end:start])
+        end = hs.index(0, start + 1)
+        parts.append(mirrored[start:end])
+        starts.append(start)
+        try:
+            start = hs.index(-1, end) - 1
+        except ValueError:
+            break
+    parts.append(g[end:])
+    return "".join(parts), {"marks": frozenset(starts[1:])}
 
 
 def _interchange(g: str, ann: dict) -> tuple[str, dict]:
@@ -179,9 +196,11 @@ def _run(steps: str, inverse: bool) -> list[tuple[str, str, dict]]:
     return values
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One labelled value in a pipeline trace, with any landmarks it carries."""
+class Stage(NamedTuple):
+    """One labelled value in a pipeline trace, with any landmarks it carries.
+
+    A record of six fields: equal to (and hashed as) the plain tuple of them.
+    """
 
     label: str
     path: Path

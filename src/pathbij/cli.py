@@ -10,6 +10,7 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pathlib
 import sys
@@ -52,7 +53,9 @@ def _size(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pathbij",
         description="Enumerate, count, map, and cross-check the two path families.",
@@ -144,10 +147,10 @@ def cmd_map(args: argparse.Namespace) -> int:
         return 0
     traces = trace_components(p, inverse=args.inverse)  # checks the input before anything prints
     for i, stages in enumerate(traces):
+        lines = [stage.line() for stage in stages]
         if len(traces) > 1:
-            print(f"component {i + 1}: {stages[0].path.steps}")
-        for stage in stages:
-            print(stage.line())
+            lines.insert(0, f"component {i + 1}: {stages[0].path.steps}")
+        print("\n".join(lines))  # one print per component, never a copy of the whole trace
     print("".join(stages[-1].path.steps for stages in traces))
     return 0
 

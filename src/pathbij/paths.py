@@ -25,7 +25,6 @@ FLAT: Step = "F"
 DOWN: Step = "D"
 
 _RISE = {UP: 1, FLAT: 0, DOWN: -1}
-_STEP_SET = frozenset(_RISE)
 
 MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
 
@@ -54,8 +53,8 @@ def step_heights(steps: str) -> list[int]:
 
 def split_components(steps: str, heights: Sequence[int]) -> list[tuple[int, str]]:
     """(start vertex, steps) of each component of a ground-terminated word with these heights."""
-    parts, a = [], 0
-    for _ in range(heights.count(0) - 1):
+    parts, a, end = [], 0, len(steps)
+    while a < end:
         b = heights.index(0, a + 1)
         parts.append((a, steps[a:b]))
         a = b
@@ -73,8 +72,9 @@ class Path:
     steps: str = ""
 
     def __post_init__(self) -> None:
-        if not _STEP_SET.issuperset(self.steps):
-            for i, c in enumerate(self.steps):
+        steps = self.steps
+        if not steps.isascii() or steps.encode().translate(None, b"UFD"):
+            for i, c in enumerate(steps):
                 if c not in _RISE:
                     raise InvalidCharacter(c, i)
 
@@ -124,8 +124,11 @@ def class_b_word(steps: str, heights: Sequence[int]) -> bool:
     peak = steps.find(UP + DOWN)
     while peak >= 0:
         after = steps.find(UP + DOWN, peak + 2)
-        if after >= 0 and 0 not in heights[peak + 1 : after + 1]:
-            return False
+        if after >= 0:
+            try:
+                heights.index(0, peak + 1, after + 1)
+            except ValueError:
+                return False
         peak = after
     return True
 

@@ -53,11 +53,14 @@ def rank_signature(values: Sequence[int]) -> Permutation:
 
 
 def contains_pattern(perm: Sequence[int], pat: Sequence[int]) -> bool:
-    """Classical containment: some subsequence of perm is order-isomorphic to pat."""
+    """Classical containment: some subsequence of perm is order-isomorphic to pat.
+
+    Like ``count_avoiders``, it reads pat by its relative order, so (3, 1, 4) is 213.
+    """
     k = len(pat)
     if k > len(perm):
         return False
-    target = tuple(pat)
+    target = rank_signature(pat)
     return any(rank_signature(sub) == target for sub in combinations(tuple(perm), k))
 
 

@@ -16,6 +16,7 @@ from pathbij import (
     phi,
     phi_inverse,
     reflect,
+    Stage,
     trace_components,
 )
 from pathbij.bijection import _ABOVE_STAGES, _flatten, map_word
@@ -435,6 +436,27 @@ def test_trace_serialization():
         "flatten-peaks: UFUDD",
         "output: UUFUDDD",
     ]
+
+
+def test_stage_is_an_immutable_hashable_record():
+    assert Stage._fields == ("label", "path", "marks", "v1", "v2", "w")
+    assert Stage._field_defaults == {"marks": frozenset(), "v1": None, "v2": None, "w": None}
+    stage = Stage("strip-ends", parse_path("UUDFD"))
+    assert (stage.marks, stage.v1, stage.v2, stage.w) == (frozenset(), None, None, None)
+    assert stage.line() == "strip-ends: UUDFD"
+    assert Stage("strip-ends", parse_path("")).line() == "strip-ends:"
+    flipped = Stage("flip-components", parse_path("DDUUDU"), v1=2, v2=6)
+    assert flipped.line() == "flip-components: DDUUDU v1=2 v2=6"
+    # A record compares (and hashes) as the plain tuple of its six fields.
+    assert stage == ("strip-ends", parse_path("UUDFD"), frozenset(), None, None, None)
+    assert hash(flipped) == hash(("flip-components", parse_path("DDUUDU"), frozenset(), 2, 6, None))
+    stages = trace_one(parse_path("UUUDFDD"))
+    assert len(set(stages)) == len(stages) == 7
+    assert all(type(s) is Stage for s in stages)
+    with pytest.raises(AttributeError):
+        stage.w = 3
+    with pytest.raises(TypeError):
+        stage[0] = "output"
 
 
 def test_trace_components_agree_with_the_maps():

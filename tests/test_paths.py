@@ -56,6 +56,17 @@ def test_parse_rejects_bad_characters():
     assert exc.value.position == 0
 
 
+@pytest.mark.parametrize(
+    "text, char, position",
+    [("U\uff26D", "\uff26", 1), ("UD\u00e9", "\u00e9", 2), ("\u0660", "\u0660", 0), ("UU\x00DD", "\x00", 2)],
+)
+def test_parse_rejects_non_ascii_and_control_characters(text, char, position):
+    with pytest.raises(InvalidCharacter) as exc:
+        parse_path(text)
+    assert (exc.value.char, exc.value.position) == (char, position)
+    assert str(exc.value) == f"invalid step character {char!r} at position {position}"
+
+
 @given(step_words)
 def test_parse_format_roundtrip(s):
     assert parse_path(s).steps == s

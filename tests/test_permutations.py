@@ -49,6 +49,18 @@ def test_contains_pattern_examples():
     assert contains_pattern((2, 7, 1, 8, 5), (1, 3, 2))
 
 
+@pytest.mark.parametrize("pat", [(3, 1, 4), (20, 10), (5, 9, 2, 7), (7,)])
+def test_contains_pattern_reads_patterns_by_relative_order(pat):
+    """A pattern that is not a permutation of 1..k means its rank signature, in both
+    ``contains_pattern`` and ``count_avoiders``."""
+    assert contains_pattern((2, 1, 3), (3, 1, 4))
+    for m in range(6):
+        avoiders = sum(
+            not contains_pattern(perm, pat) for perm in itertools.permutations(range(1, m + 1))
+        )
+        assert avoiders == count_avoiders(m, [pat]) == count_avoiders(m, [rank_signature(pat)])
+
+
 def test_contains_pattern_monotone_under_more_patterns():
     counts = [count_avoiders(5, DEFAULT_PATTERNS[:k]) for k in range(4)]
     assert counts[0] == math.factorial(5)
