@@ -81,13 +81,11 @@ def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
 
 
 def _contract_marks(s: str, ann: dict) -> tuple[str, dict]:
-    marks = sorted(ann["marks"])
-    for m in marks:
-        if s[m - 1 : m + 1] != _VALLEY:
-            raise InverseDomainError(f"vertex {m} is not between a downstep and an upstep")
     # Each valley around a mark becomes one flatstep.
     pieces, start = [], 0
-    for m in marks:
+    for m in sorted(ann["marks"]):
+        if s[m - 1 : m + 1] != _VALLEY:
+            raise InverseDomainError(f"vertex {m} is not between a downstep and an upstep")
         pieces.append(s[start : m - 1])
         start = m + 1
     pieces.append(s[start:])

@@ -10,7 +10,6 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import pathlib
 import sys
@@ -53,9 +52,7 @@ def _size(text: str) -> int:
     return n
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pathbij",
         description="Enumerate, count, map, and cross-check the two path families.",
