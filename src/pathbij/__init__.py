@@ -18,13 +18,9 @@ from .bijection import (
 )
 from .families import (
     Census,
-    count_class_a,
     count_class_a_series,
-    count_class_b,
     count_class_b_series,
     count_series,
-    enumerate_class_a,
-    enumerate_class_b,
     indec_census,
 )
 from .oeis import (
@@ -51,10 +47,7 @@ from .paths import (
     components,
     in_class_a,
     in_class_b,
-    is_indecomposable,
     parse_path,
-    peak_apexes,
-    reflect,
     render_ascii,
 )
 from .permutations import (
@@ -98,26 +91,19 @@ __all__ = [
     "components",
     "contains_pattern",
     "count_avoiders",
-    "count_class_a",
     "count_class_a_series",
-    "count_class_b",
     "count_class_b_series",
     "count_series",
-    "enumerate_class_a",
-    "enumerate_class_b",
     "in_class_a",
     "in_class_b",
     "indec_census",
-    "is_indecomposable",
     "parse_bfile",
     "parse_path",
     "parse_patterns",
     "parse_permutation",
-    "peak_apexes",
     "phi",
     "phi_inverse",
     "rank_signature",
-    "reflect",
     "render_ascii",
     "trace_components",
 ]

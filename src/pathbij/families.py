@@ -1,14 +1,12 @@
 """Exhaustive enumerators and exact counters for the two path families.
 
-The class_*_words generators (which enumerate_* collect as ``Path`` lists)
-walk the step tree depth-first with children in D < F < U order, pruning any
-prefix that cannot return to ground within the remaining width, so the output
-is duplicate-free and ASCII-sorted by construction.  The count_class_*
-functions answer the same cardinality
+The class_*_words generators walk the step tree depth-first with children in
+D < F < U order, pruning any prefix that cannot return to ground within the
+remaining width, so the output is duplicate-free and ASCII-sorted by
+construction.  The count_class_*_series functions answer the same cardinality
 questions without enumeration: a column-by-column dynamic program over path
-prefixes with Python's native big integers.  Counting a prefix table once
-gives the counts for every size up to a bound, which is what the *_series
-variants return; the single-size functions just read off the last entry.
+prefixes with Python's native big integers.  One prefix table gives the
+counts for every size up to a bound, and the series returns them all.
 
 ``count_series`` computes the common sequence of both classes in O(n)
 big-integer operations from an order-3 recurrence derived from the two
@@ -20,11 +18,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, NamedTuple
 
-from .paths import DOWN, FLAT, UP, Path, step_heights
+from .paths import DOWN, FLAT, UP, step_heights
 
 
 def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
-    """Generate the step words of ``enumerate_class_a(n, flat_line)``, in order."""
+    """All size-n words of class A (every flatstep on y = flat_line), in ASCII order."""
     if n < 0:
         raise ValueError("size must be nonnegative")
     # (prefix, height, unused width in half-units); a prefix at height h can
@@ -45,7 +43,7 @@ def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
 
 
 def class_b_words(n: int) -> Iterator[str]:
-    """Generate the step words of ``enumerate_class_b(n)``, in order."""
+    """All size-n words of class B (at most one peak per component), in ASCII order."""
     if n < 0:
         raise ValueError("size must be nonnegative")
     # peak_used tracks whether the open component already spent its peak;
@@ -63,16 +61,6 @@ def class_b_words(n: int) -> Iterator[str]:
         if h >= 1 and not (last_up and peak_used):
             peak_used = h > 1 and (peak_used or last_up)
             stack.append((prefix + DOWN, h - 1, rem - 1, False, peak_used))
-
-
-def enumerate_class_a(n: int, flat_line: int = 2) -> list[Path]:
-    """All size-n grand Schroeder paths with every flatstep on y = flat_line, sorted."""
-    return [Path(s) for s in class_a_words(n, flat_line)]
-
-
-def enumerate_class_b(n: int) -> list[Path]:
-    """All size-n Schroeder paths with at most one peak per component, sorted."""
-    return [Path(s) for s in class_b_words(n)]
 
 
 def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:
@@ -153,16 +141,6 @@ def count_series(max_n: int) -> list[int]:
             raise ArithmeticError(f"the recurrence does not divide exactly at n={n}")
         a.append(term)
     return a[: max_n + 1]
-
-
-def count_class_a(n: int, flat_line: int = 2) -> int:
-    """|enumerate_class_a(n, flat_line)| without enumerating."""
-    return count_class_a_series(n, flat_line)[n]
-
-
-def count_class_b(n: int) -> int:
-    """|enumerate_class_b(n)| without enumerating."""
-    return count_class_b_series(n)[n]
 
 
 class Census(NamedTuple):

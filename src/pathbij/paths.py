@@ -107,7 +107,10 @@ def parse_path(text: str) -> Path:
 
 
 def class_a_word(steps: str, heights: Sequence[int], flat_line: int = 2) -> bool:
-    """``in_class_a`` on a step word, given its vertex heights."""
+    """True for grand Schroeder words whose flatsteps all sit on the line y = flat_line.
+
+    ``heights`` are the word's vertex heights, as ``step_heights`` gives them.
+    """
     i = steps.find(FLAT)
     while i >= 0:
         if heights[i] != flat_line:
@@ -117,7 +120,10 @@ def class_a_word(steps: str, heights: Sequence[int], flat_line: int = 2) -> bool
 
 
 def class_b_word(steps: str, heights: Sequence[int]) -> bool:
-    """``in_class_b`` on a step word, given its vertex heights."""
+    """True for Schroeder words with at most one peak (a UD factor) in each component.
+
+    ``heights`` are the word's vertex heights, as ``step_heights`` gives them.
+    """
     if heights[-1] != 0 or min(heights) < 0:
         return False
     # Two peaks share a component unless a ground vertex lies between their apexes.
@@ -134,12 +140,12 @@ def class_b_word(steps: str, heights: Sequence[int]) -> bool:
 
 
 def in_class_a(p: Path, flat_line: int = 2) -> bool:
-    """True for grand Schroeder paths whose flatsteps all sit on the line y = flat_line."""
+    """``class_a_word`` on a ``Path``."""
     return class_a_word(p.steps, p.heights, flat_line)
 
 
 def in_class_b(p: Path) -> bool:
-    """True for Schroeder paths with at most one peak in each component."""
+    """``class_b_word`` on a ``Path``."""
     return class_b_word(p.steps, p.heights)
 
 
@@ -160,10 +166,6 @@ class ComponentView:
     def __len__(self) -> int:
         return len(self.parts)
 
-    @property
-    def paths(self) -> tuple[Path, ...]:
-        return tuple(c.path for c in self.parts)
-
 
 def components(p: Path) -> ComponentView:
     """Split at every interior ground-level vertex; concatenating the parts gives back p."""
@@ -171,27 +173,6 @@ def components(p: Path) -> ComponentView:
         raise NotGroundTerminated(f"path ends at height {p.end_height}, not 0")
     parts = split_components(p.steps, p.heights)
     return ComponentView(tuple(Component(start, Path(steps)) for start, steps in parts))
-
-
-def is_indecomposable(p: Path) -> bool:
-    """Nonempty, ground-terminated, and with no interior ground-level vertex."""
-    hs = p.heights
-    return len(hs) > 1 and hs[-1] == 0 and all(h != 0 for h in hs[1:-1])
-
-
-def peak_apexes(p: Path) -> list[int]:
-    """Vertex indices where an upstep is immediately followed by a downstep.
-
-    The underlying step pairs are disjoint, so consecutive apexes differ by
-    at least 2.
-    """
-    s = p.steps
-    return [v for v in range(1, len(s)) if s[v - 1] == UP and s[v] == DOWN]
-
-
-def reflect(p: Path) -> Path:
-    """Mirror the path in the ground line (upsteps and downsteps swap); an involution."""
-    return Path(p.steps.translate(MIRROR))
 
 
 def render_ascii(p: Path) -> str:

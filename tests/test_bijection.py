@@ -6,24 +6,22 @@ from pathbij import (
     NotInClass,
     Path,
     components,
-    enumerate_class_a,
-    enumerate_class_b,
     in_class_a,
     in_class_b,
-    is_indecomposable,
     parse_path,
-    peak_apexes,
     phi,
     phi_inverse,
-    reflect,
     Stage,
     trace_components,
 )
 from pathbij.bijection import _ABOVE_STAGES, _flatten, map_word
+from pathbij.families import class_a_words, class_b_words
+from pathbij.paths import MIRROR, step_heights
 
 
 def class_a_paths(max_size=5):
-    return st.integers(0, max_size).flatmap(lambda n: st.sampled_from(enumerate_class_a(n)))
+    words = st.integers(0, max_size).flatmap(lambda n: st.sampled_from(list(class_a_words(n))))
+    return words.map(Path)
 
 
 def _walk(draw, width, flat_height):
@@ -59,7 +57,7 @@ def long_class_a_paths(draw, max_steps=300):
         above = draw(st.booleans())
         inner = _walk(draw, 2 * size - 2, 1 if above else None)
         part = "U" + inner + "D"
-        parts.append(part if above else reflect(Path(part)).steps)
+        parts.append(part if above else part.translate(MIRROR))
         sides.append(above)
         budget -= len(parts[-1])
     return Path("".join(parts)), sides
@@ -67,9 +65,9 @@ def long_class_a_paths(draw, max_steps=300):
 
 def above_components(max_size):
     for n in range(1, max_size + 1):
-        for p in enumerate_class_a(n):
-            if is_indecomposable(p) and p.steps[0] == "U":
-                yield p
+        for w in class_a_words(n):
+            if step_heights(w).count(0) == 2 and w[0] == "U":
+                yield w
 
 
 def trace_one(component, inverse=False):
@@ -145,15 +143,15 @@ def test_flatten_unflatten_laws():
     flatten = FORWARD_KERNELS["flatten-peaks"]
     unflatten = INVERSE_KERNELS["unflatten-flats"]
     for n in range(1, 6):
-        for q in enumerate_class_b(n):
-            if "F" not in q.steps:  # Dyck path
-                assert peak_apexes(Path(_flatten(q.steps))) == []
-                for w in peak_apexes(q):
-                    flat, _ = flatten(q.steps, {"w": w})
-                    assert len(peak_apexes(Path(flat))) == 1
-                    assert unflatten(flat, {}) == (q.steps, {"w": w})
-            if not peak_apexes(q):  # peak-free Schroeder path
-                assert _flatten(q.steps.replace("F", "UD")) == q.steps
+        for q in class_b_words(n):
+            if "F" not in q:  # Dyck path
+                assert _flatten(q).count("UD") == 0
+                for w in (v for v in range(1, len(q)) if q[v - 1 : v + 1] == "UD"):  # peak apexes
+                    flat, _ = flatten(q, {"w": w})
+                    assert flat.count("UD") == 1
+                    assert unflatten(flat, {}) == (q, {"w": w})
+            if q.count("UD") == 0:  # peak-free Schroeder path
+                assert _flatten(q.replace("F", "UD")) == q
 
 
 def test_map_indecomposable_below_examples():
@@ -194,8 +192,8 @@ def test_recover_marks_inverts_flip():
     expand, flip = FORWARD_KERNELS["expand-flats"], FORWARD_KERNELS["flip-components"]
     recover = INVERSE_KERNELS["recover-marks"]
     for n in range(1, 6):
-        for p in above_components(n):
-            marked, ann = expand(p.steps[1:-1], {})
+        for c in above_components(n):
+            marked, ann = expand(c[1:-1], {})
             if not marked:
                 continue
             assert recover(*flip(marked, ann)) == (marked, ann)
@@ -217,14 +215,14 @@ def test_landmarks_examples():
     assert flip("UD", {"marks": frozenset()})[1] == {"v1": 1, "v2": 2}
     # the kernel reads v1 and v2 off the unflipped heights; check them on g itself
     expand = FORWARD_KERNELS["expand-flats"]
-    for p in above_components(6):
-        inner = p.steps[1:-1]
+    for c in above_components(6):
+        inner = c[1:-1]
         if not inner:
             continue
         g, ann = flip(*expand(inner, {}))
-        hs = Path(g).heights
+        hs = step_heights(g)
         v2 = max(v for v in range(1, len(hs)) if hs[v] == 0 and g[v - 1] == "U")
-        assert ann == {"v1": hs.index(min(hs)), "v2": v2}, p
+        assert ann == {"v1": hs.index(min(hs)), "v2": v2}, c
 
 
 def test_interchange_examples():
@@ -238,14 +236,14 @@ def test_interchange_output_structure():
     # nonnegative, with a kept peak at w, for every above component
     expand, flip = FORWARD_KERNELS["expand-flats"], FORWARD_KERNELS["flip-components"]
     swap, unswap = FORWARD_KERNELS["interchange"], INVERSE_KERNELS["reverse-interchange"]
-    for p in above_components(6):
-        inner = p.steps[1:-1]
+    for c in above_components(6):
+        inner = c[1:-1]
         if not inner:
             continue
         flipped, ann = flip(*expand(inner, {}))
         d, out = swap(flipped, ann)
-        assert min(Path(d).heights) >= 0
-        assert out["w"] in peak_apexes(Path(d))
+        assert min(step_heights(d)) >= 0
+        assert d[out["w"] - 1 : out["w"] + 1] == "UD"
         assert unswap(d, out) == (flipped, {})
 
 
@@ -296,18 +294,18 @@ def test_phi_rejects_other_paths():
 
 def test_map_word_agrees_with_phi_and_inverts():
     for n in range(6):
-        for p in enumerate_class_a(n):
-            q = map_word(p.steps)
-            assert q == phi(p).steps
-            assert map_word(q, True) == p.steps
+        for w in class_a_words(n):
+            q = map_word(w)
+            assert q == phi(Path(w)).steps
+            assert map_word(q, True) == w
     with pytest.raises(NotInClass):
         map_word("F")
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_bijection_exhaustive_small(n):
-    a_paths = enumerate_class_a(n)
-    b_paths = enumerate_class_b(n)
+    a_paths = [Path(w) for w in class_a_words(n)]
+    b_paths = [Path(w) for w in class_b_words(n)]
     images = []
     for p in a_paths:
         q = phi(p)
@@ -328,7 +326,7 @@ def test_phi_preserves_component_structure(p):
     assert [c.path.size for c in p_parts] == [c.path.size for c in q_parts]
     for cp, cq in zip(p_parts, q_parts):
         below = cp.path.steps[0] == "D"
-        assert len(peak_apexes(cq.path)) == (0 if below else 1)
+        assert cq.path.steps.count("UD") == (0 if below else 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,9 +337,9 @@ def test_properties_beyond_exhaustive_sizes(case):
     q = phi(p)
     assert phi_inverse(q) == p
     assert phi(phi_inverse(q)) == q
-    p_parts, q_parts = components(p).paths, components(q).paths
+    p_parts, q_parts = [c.path for c in components(p)], [c.path for c in components(q)]
     assert [c.size for c in p_parts] == [c.size for c in q_parts]
-    assert [len(peak_apexes(c)) for c in q_parts] == [int(above) for above in sides]
+    assert [c.steps.count("UD") for c in q_parts] == [int(above) for above in sides]
     forward = [trace_one(c)[-1].path.steps for c in p_parts]
     assert "".join(forward) == q.steps
     inverse = [trace_one(c, inverse=True)[-1].path.steps for c in q_parts]
@@ -349,7 +347,7 @@ def test_properties_beyond_exhaustive_sizes(case):
 
 
 def test_phi_builds_at_most_two_paths_per_call():
-    a_paths = [p for n in range(6) for p in enumerate_class_a(n)]
+    a_paths = [Path(w) for n in range(6) for w in class_a_words(n)]
     b_paths = [phi(p) for p in a_paths]
     built = []
     post_init = Path.__post_init__
@@ -392,7 +390,7 @@ def test_trace_forward_worked_stages():
     assert (stages[3].v1, stages[3].v2) == (9, 16)
     assert stages[4].w == 7
     assert stages[5].path.steps.endswith("FUFD")
-    assert len(peak_apexes(stages[6].path)) == 1
+    assert stages[6].path.steps.count("UD") == 1
 
 
 def test_trace_forward_below_component():
@@ -412,8 +410,8 @@ def test_trace_forward_degenerate():
 
 def test_trace_inverse_roundtrips_forward():
     """The inverse trace lists the forward trace's values in reverse, with the same marks and w."""
-    for p in above_components(6):
-        fwd = trace_one(p)
+    for c in above_components(6):
+        fwd = trace_one(Path(c))
         inv = trace_one(fwd[-1].path, inverse=True)
         assert [(s.path, s.marks, s.w) for s in inv] == [
             (s.path, s.marks, s.w) for s in reversed(fwd)
@@ -422,7 +420,7 @@ def test_trace_inverse_roundtrips_forward():
         assert swapped.label == "interchange"
         if swapped.path.steps:
             assert min(swapped.path.heights) >= 0
-            assert swapped.w in peak_apexes(swapped.path)
+            assert swapped.path.steps[swapped.w - 1 : swapped.w + 1] == "UD"
 
 
 def test_trace_serialization():
@@ -461,11 +459,12 @@ def test_stage_is_an_immutable_hashable_record():
 
 def test_trace_components_agree_with_the_maps():
     for n in range(6):
-        for p in enumerate_class_a(n):
+        for w in class_a_words(n):
+            p = Path(w)
             q = phi(p)
             for x, y, inverse in ((p, q, False), (q, p, True)):
                 traces = trace_components(x, inverse=inverse)
-                parts = components(x).paths
+                parts = [c.path for c in components(x)]
                 assert traces == tuple(trace_one(c, inverse) for c in parts)
                 assert "".join(stages[-1].path.steps for stages in traces) == y.steps
 

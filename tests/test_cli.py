@@ -10,15 +10,11 @@ import pytest
 import pathbij.bijection
 import pathbij.cli
 import pathbij.families
-from pathbij import (
-    count_class_a_series,
-    count_class_b_series,
-    enumerate_class_a,
-    is_indecomposable,
-)
+from pathbij import count_class_a_series, count_class_b_series
 from pathbij.bijection import map_word
 from pathbij.cli import main
 from pathbij.families import Census, class_a_words, class_b_words, indec_census
+from pathbij.paths import step_heights
 
 
 def run(argv, capsys):
@@ -486,11 +482,8 @@ def test_verify_runs_each_counter_once(capsys, monkeypatch):
 
         return counted
 
-    # count_class_a/_b reach the series through the families module's globals.
     for name in ("count_class_a_series", "count_class_b_series"):
-        counted = counting(name, getattr(pathbij.families, name))
-        monkeypatch.setattr(pathbij.families, name, counted)
-        monkeypatch.setattr(pathbij.cli, name, counted)
+        monkeypatch.setattr(pathbij.cli, name, counting(name, getattr(pathbij.cli, name)))
     code, out, _ = run(["verify", "--max-size", "3"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 4
@@ -498,7 +491,7 @@ def test_verify_runs_each_counter_once(capsys, monkeypatch):
 
 
 def test_verify_maps_each_distinct_component_once_per_run(capsys, monkeypatch):
-    indecomposables = sum(is_indecomposable(p) for n in range(6) for p in enumerate_class_a(n))
+    indecomposables = sum(step_heights(w).count(0) == 2 for n in range(6) for w in class_a_words(n))
     assert indecomposables == 73
     enumerated = _count_enumerations(monkeypatch)
     runs = {False: [], True: []}

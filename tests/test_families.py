@@ -1,25 +1,19 @@
-import gc
 import itertools
-import weakref
 
 import pytest
 
 from pathbij import (
     Census,
     Path,
-    count_class_a,
     count_class_a_series,
-    count_class_b,
     count_class_b_series,
     count_series,
-    enumerate_class_a,
-    enumerate_class_b,
     in_class_a,
     in_class_b,
     indec_census,
-    is_indecomposable,
-    peak_apexes,
 )
+from pathbij.families import class_a_words, class_b_words
+from pathbij.paths import step_heights
 
 
 def brute_force(n, predicate):
@@ -30,71 +24,71 @@ def brute_force(n, predicate):
             s = "".join(word)
             if s.count("U") + s.count("F") != n:
                 continue
-            p = Path(s)
-            if predicate(p):
-                found.append(p)
+            if predicate(Path(s)):
+                found.append(s)
     return sorted(found)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_enumerate_class_a_matches_brute_force(n):
-    assert enumerate_class_a(n) == brute_force(n, in_class_a)
+    assert list(class_a_words(n)) == brute_force(n, in_class_a)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_enumerate_class_b_matches_brute_force(n):
-    assert enumerate_class_b(n) == brute_force(n, in_class_b)
+    assert list(class_b_words(n)) == brute_force(n, in_class_b)
 
 
 @pytest.mark.parametrize("n,flat_line", [(n, k) for n in range(4) for k in (0, 1, 3)])
 def test_enumerate_flat_line_variants(n, flat_line):
     expected = brute_force(n, lambda p: in_class_a(p, flat_line))
-    assert enumerate_class_a(n, flat_line) == expected
-    assert count_class_a(n, flat_line) == len(expected)
+    assert list(class_a_words(n, flat_line)) == expected
+    assert count_class_a_series(n, flat_line)[n] == len(expected)
 
 
 def test_enumerate_goldens():
-    assert [p.steps for p in enumerate_class_a(0)] == [""]
-    assert [p.steps for p in enumerate_class_a(1)] == ["DU", "UD"]
-    assert len(enumerate_class_a(2)) == 6
-    assert not any("F" in p.steps for p in enumerate_class_a(2))
+    assert list(class_a_words(0)) == [""]
+    assert list(class_a_words(1)) == ["DU", "UD"]
+    a2 = list(class_a_words(2))
+    assert len(a2) == 6
+    assert not any("F" in w for w in a2)
 
-    assert [p.steps for p in enumerate_class_b(1)] == ["F", "UD"]
-    assert len(enumerate_class_b(2)) == 6
-    b3 = enumerate_class_b(3)
+    assert list(class_b_words(1)) == ["F", "UD"]
+    assert len(list(class_b_words(2))) == 6
+    b3 = list(class_b_words(3))
     assert len(b3) == 21
-    assert Path("UUDUDD") not in b3  # the lone size-3 Schroeder path with 2 peaks
+    assert "UUDUDD" not in b3  # the lone size-3 Schroeder path with 2 peaks
 
 
 def test_enumerations_sorted_and_unique():
     for n in range(6):
-        for paths in (enumerate_class_a(n), enumerate_class_b(n)):
-            assert all(a < b for a, b in zip(paths, paths[1:]))
+        for words in (list(class_a_words(n)), list(class_b_words(n))):
+            assert all(a < b for a, b in zip(words, words[1:]))
 
 
 def test_enumerated_class_a_structure():
     for n in range(6):
-        for p in enumerate_class_a(n):
-            assert p.steps.count("U") == p.steps.count("D")
-            hs = p.heights
-            assert all(hs[i] == 2 for i, c in enumerate(p.steps) if c == "F")
+        for w in class_a_words(n):
+            assert w.count("U") == w.count("D")
+            hs = step_heights(w)
+            assert all(hs[i] == 2 for i, c in enumerate(w) if c == "F")
 
 
 def test_count_small_goldens():
-    assert [count_class_a(n) for n in range(4)] == [1, 2, 6, 21]
-    assert [count_class_b(n) for n in range(4)] == [1, 2, 6, 21]
+    assert [count_class_a_series(n)[n] for n in range(4)] == [1, 2, 6, 21]
+    assert [count_class_b_series(n)[n] for n in range(4)] == [1, 2, 6, 21]
     assert [count_series(n) for n in range(4)] == [[1], [1, 2], [1, 2, 6], [1, 2, 6, 21]]
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_counts_match_enumeration(n):
-    assert count_class_a(n) == len(enumerate_class_a(n))
-    assert count_class_b(n) == len(enumerate_class_b(n))
+    assert count_class_a_series(n)[n] == sum(1 for _ in class_a_words(n))
+    assert count_class_b_series(n)[n] == sum(1 for _ in class_b_words(n))
 
 
 def test_series_consistency():
-    assert count_class_a_series(7) == [count_class_a(n) for n in range(8)]
-    assert count_class_b_series(7) == [count_class_b(n) for n in range(8)]
+    assert count_class_a_series(7) == [count_class_a_series(n)[n] for n in range(8)]
+    assert count_class_b_series(7) == [count_class_b_series(n)[n] for n in range(8)]
 
 
 def test_counts_agree_at_scale():
@@ -164,12 +158,15 @@ def test_recurrence_operator_reduces_modulo_the_quadratic():
 
 
 def test_rejects_negative_size():
+    # The enumerators are generators: they raise on the first next(), not on the call.
     with pytest.raises(ValueError):
-        enumerate_class_a(-1)
+        next(class_a_words(-1))
     with pytest.raises(ValueError):
-        enumerate_class_b(-1)
+        next(class_b_words(-1))
     with pytest.raises(ValueError):
-        count_class_a(-1)
+        count_class_a_series(-1)
+    with pytest.raises(ValueError):
+        count_class_b_series(-1)
     with pytest.raises(ValueError):
         count_series(-1)
 
@@ -182,25 +179,12 @@ def test_census_examples():
     c4 = indec_census(4)
     assert c4.below_a == c4.nopeak_b
     assert c4.above_a == c4.onepeak_b
-    below4 = [p for p in enumerate_class_a(4) if is_indecomposable(p) and p.steps[0] == "D"]
-    assert Path("DDUDDUUU") in below4
+    below4 = [w for w in class_a_words(4) if step_heights(w).count(0) == 2 and w[0] == "D"]
+    assert "DDUDDUUU" in below4
     assert len(below4) == c4.below_a
-    nopeak4 = [q for q in enumerate_class_b(4) if is_indecomposable(q) and not peak_apexes(q)]
-    assert Path("UFUFDD") in nopeak4
+    nopeak4 = [q for q in class_b_words(4) if step_heights(q).count(0) == 2 and q.count("UD") == 0]
+    assert "UFUFDD" in nopeak4
     assert len(nopeak4) == c4.nopeak_b
 
     with pytest.raises(ValueError):
         indec_census(0)
-
-
-def test_enumerators_leave_no_reference_cycle():
-    # Without the cycle collector, the result must be freed as soon as it is dropped.
-    gc.disable()
-    try:
-        for enumerate_class in (enumerate_class_a, enumerate_class_b):
-            paths = enumerate_class(3)
-            first = weakref.ref(paths[0])
-            del paths
-            assert first() is None, enumerate_class.__name__
-    finally:
-        gc.enable()

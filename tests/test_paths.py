@@ -8,12 +8,10 @@ from pathbij import (
     components,
     in_class_a,
     in_class_b,
-    is_indecomposable,
     parse_path,
-    peak_apexes,
-    reflect,
     render_ascii,
 )
+from pathbij.paths import MIRROR, step_heights
 
 step_words = st.text(alphabet="UFD", max_size=30)
 
@@ -109,37 +107,26 @@ def test_components_concat_roundtrip(p):
     assert "".join(c.path.steps for c in view.parts) == p.steps
     assert sum(c.path.size for c in view.parts) == p.size
     for c in view.parts:
-        assert is_indecomposable(c.path)
+        assert step_heights(c.path.steps).count(0) == 2
 
 
 def test_single_flat_is_one_component():
     assert len(components(parse_path("F"))) == 1
-    assert is_indecomposable(parse_path("F"))
-
-
-def test_peak_apexes_examples():
-    assert peak_apexes(parse_path("UUDUDD")) == [2, 4]
-    assert peak_apexes(parse_path("UFD")) == []
-    assert peak_apexes(parse_path("UD")) == [1]
-
-
-@given(step_words)
-def test_peak_apexes_are_disjoint(s):
-    apexes = peak_apexes(Path(s))
-    assert all(b - a >= 2 for a, b in zip(apexes, apexes[1:]))
+    assert step_heights("F").count(0) == 2
 
 
 def test_reflect_examples():
-    assert reflect(parse_path("DDUDDUUU")).steps == "UUDUUDDD"
-    assert reflect(parse_path("F")).steps == "F"
-    assert reflect(parse_path("")).steps == ""
+    assert "DDUDDUUU".translate(MIRROR) == "UUDUUDDD"
+    assert "F".translate(MIRROR) == "F"
+    assert "".translate(MIRROR) == ""
 
 
 @given(step_words)
 def test_reflect_involution_and_heights(s):
-    p = Path(s)
-    assert reflect(reflect(p)) == p
-    assert tuple(-h for h in p.heights) == reflect(p).heights
+    # The kernels read a mirrored word's heights as the negated heights of the word.
+    mirrored = s.translate(MIRROR)
+    assert mirrored.translate(MIRROR) == s
+    assert step_heights(mirrored) == [-h for h in step_heights(s)]
 
 
 def test_class_b_holds_componentwise():

@@ -9,7 +9,7 @@ from pathbij import (
     SizeTooLarge,
     contains_pattern,
     count_avoiders,
-    count_class_b,
+    count_class_b_series,
     parse_patterns,
     parse_permutation,
     rank_signature,
@@ -76,7 +76,7 @@ def test_count_avoiders_examples():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_count_avoiders_matches_path_counts(m):
-    assert count_avoiders(m) == count_class_b(m - 1)
+    assert count_avoiders(m) == count_class_b_series(m - 1)[m - 1]
 
 
 def test_count_avoiders_generic_lengths():
