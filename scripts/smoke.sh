@@ -8,6 +8,10 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 python -m pathbij.cli count --class A --size 3000 > /dev/null
+# Past Python's default 4300-digit int/str limit: the exact count, with no traceback.
+out="$(python -m pathbij.cli count --class A --size 7000 2> "$tmp/count.err")"
+test "${#out}" = 4388
+if grep -q Traceback "$tmp/count.err"; then exit 1; fi
 out="$(python -m pathbij.cli verify --max-size 10 --census)"
 test "$(printf '%s\n' "$out" | wc -l)" = 11
 test "$(printf '%s\n' "$out" | grep -c ' bijection OK$')" = 11
@@ -35,6 +39,10 @@ rc=0
 out="$(python -m pathbij.cli oeis --bfile "$tmp/b_bad.txt" --class B --max-size 12 --offset 1)" || rc=$?
 test "$rc" = 1
 test "$(printf '%s\n' "$out" | tail -1)" = "MISMATCH at n=5"
+rc=0
+err="$(python -m pathbij.cli oeis --bfile "$tmp/b_good.txt" --class B --max-size 13 --offset 1 2>&1 > /dev/null)" || rc=$?
+test "$rc" = 2
+test "$err" = "error: b_good.txt lacks indices 14..14"
 printf '0 1\n1 2_0\n' > "$tmp/b_underscore.txt"
 rc=0
 err="$(python -m pathbij.cli oeis --bfile "$tmp/b_underscore.txt" --class A 2>&1 > /dev/null)" || rc=$?

@@ -24,12 +24,9 @@ from .families import (
     indec_census,
 )
 from .oeis import (
-    ComparisonReport,
     MalformedLine,
-    Mismatch,
     NonContiguousIndex,
     RangeNotCovered,
-    SequenceTable,
     compare_sequence,
     parse_bfile,
 )
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Census",
-    "ComparisonReport",
     "Component",
     "ComponentView",
     "DEFAULT_PATTERNS",
@@ -74,7 +70,6 @@ __all__ = [
     "InvalidCharacter",
     "InverseDomainError",
     "MalformedLine",
-    "Mismatch",
     "NonContiguousIndex",
     "NotGroundTerminated",
     "NotInClass",
@@ -82,7 +77,6 @@ __all__ = [
     "PathbijError",
     "Permutation",
     "RangeNotCovered",
-    "SequenceTable",
     "SizeTooLarge",
     "Stage",
     "Step",

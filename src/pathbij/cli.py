@@ -265,14 +265,15 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
         return 2
-    table = parse_bfile(text, source_name=bfile.name)
+    entries = parse_bfile(text)
     series = count_series(args.max_size)  # the same sequence for both classes
-    report = compare_sequence(series, table, args.offset)
-    for i in range(report.matches + (0 if report.ok else 1)):
-        status = "ok" if i < report.matches else "MISMATCH"
-        print(f"n={i}: computed={series[i]} expected={table.entries[args.offset + i]} {status}")
-    print(report.summary())
-    return 0 if report.ok else 1
+    matches = compare_sequence(series, entries, args.offset, bfile.name)
+    ok = matches == len(series)
+    for i in range(matches if ok else matches + 1):
+        status = "ok" if i < matches else "MISMATCH"
+        print(f"n={i}: computed={series[i]} expected={entries[args.offset + i]} {status}")
+    print(f"MATCH {matches}/{matches}" if ok else f"MISMATCH at n={matches}")  # n is the size
+    return 0 if ok else 1
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -283,6 +284,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact counts and b-file values run past Python's default 4300-digit int/str limit
+    # (count from n = 6860 on).  Lift it for the verb only, so in-process callers keep theirs.
+    lift = hasattr(sys, "set_int_max_str_digits")  # absent before 3.10.7, and so is the limit
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except PathbijError as exc:
@@ -295,6 +302,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,14 +4,16 @@ A b-file is the plain-text term listing used by the OEIS: one "index value"
 pair per line, '#' comment lines and blank lines ignored, indices contiguous.
 Values are arbitrary-precision integers.  Comparison is hermetic: files are
 supplied by the caller, nothing is fetched.
+
+`parse_bfile` returns the terms as an ``{index: value}`` dict in file order;
+`compare_sequence` returns how many leading computed terms match it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .paths import PathbijError
 
@@ -22,11 +24,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 class MalformedLine(PathbijError):
     """A b-file line is not an "index value" pair."""
 
-    def __init__(self, line_number: int, reason: str = ""):
-        message = f"malformed b-file line {line_number}"
-        if reason:
-            message += f": {reason}"
-        super().__init__(message)
+    def __init__(self, line_number: int, reason: str):
+        super().__init__(f"malformed b-file line {line_number}: {reason}")
         self.line_number = line_number
 
 
@@ -42,24 +41,9 @@ class RangeNotCovered(PathbijError):
     """The table does not cover the requested index range."""
 
 
-@dataclass(frozen=True)
-class SequenceTable:
-    """Contiguous indexed integer terms, e.g. parsed from a b-file."""
-
-    entries: dict[int, int]
-    source_name: str = ""
-
-    @property
-    def first_index(self) -> int | None:
-        return next(iter(self.entries), None)
-
-    @property
-    def last_index(self) -> int | None:
-        return next(reversed(self.entries), None) if self.entries else None
-
-
-def parse_bfile(text: str, source_name: str = "") -> SequenceTable:
-    """Parse b-file text; raises MalformedLine / NonContiguousIndex with the 1-based line."""
+def parse_bfile(text: str) -> dict[int, int]:
+    """Parse b-file text to {index: value}; raises MalformedLine / NonContiguousIndex with the
+    1-based line."""
     entries: dict[int, int] = {}
     previous: int | None = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -76,45 +60,24 @@ def parse_bfile(text: str, source_name: str = "") -> SequenceTable:
             raise NonContiguousIndex(line_number)
         entries[index] = value
         previous = index
-    return SequenceTable(entries, source_name)
-
-
-class Mismatch(NamedTuple):
-    index: int
-    expected: int
-    got: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    matches: int
-    first_mismatch: Mismatch | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-    def summary(self) -> str:
-        if self.first_mismatch is None:
-            return f"MATCH {self.matches}/{self.matches}"
-        return f"MISMATCH at n={self.matches}"  # n is the size, not the b-file index
+    return entries
 
 
 def compare_sequence(
-    computed: Sequence[int], table: SequenceTable, start_index: int = 0
-) -> ComparisonReport:
-    """Compare computed[i] against table[start_index + i], stopping at the first mismatch."""
-    missing = [start_index + i for i in range(len(computed)) if start_index + i not in table.entries]
+    computed: Sequence[int],
+    entries: dict[int, int],
+    start_index: int = 0,
+    source_name: str = "table",
+) -> int:
+    """Count the leading i with computed[i] == entries[start_index + i], stopping at the first
+    mismatch: len(computed) on a full match."""
+    missing = [start_index + i for i in range(len(computed)) if start_index + i not in entries]
     if missing:
         # Runs of consecutive missing indices share a value of index - position.
         runs = [[i for _, i in g] for _, g in groupby(enumerate(missing), lambda t: t[1] - t[0])]
         spans = " and ".join(f"{run[0]}..{run[-1]}" for run in runs)
-        raise RangeNotCovered(f"{table.source_name or 'table'} lacks indices {spans}")
-    matches = 0
+        raise RangeNotCovered(f"{source_name} lacks indices {spans}")
     for i, got in enumerate(computed):
-        index = start_index + i
-        expected = table.entries[index]
-        if got != expected:
-            return ComparisonReport(matches, Mismatch(index, expected, got))
-        matches += 1
-    return ComparisonReport(matches)
+        if got != entries[start_index + i]:
+            return i
+    return len(computed)

@@ -10,7 +10,7 @@ import pytest
 import pathbij.bijection
 import pathbij.cli
 import pathbij.families
-from pathbij import count_class_a_series, count_class_b_series
+from pathbij import count_class_a_series, count_class_b_series, count_series
 from pathbij.bijection import map_word
 from pathbij.cli import main
 from pathbij.families import Census, class_a_words, class_b_words, indec_census
@@ -154,6 +154,31 @@ def test_trace_checks_the_whole_path_before_printing(verb, path, capsys):
 def test_count(capsys):
     assert run(["count", "--class", "A", "--size", "0"], capsys)[1] == "1\n"
     assert run(["count", "--class", "B", "--size", "3"], capsys)[1] == "21\n"
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def _decimal(n):
+    """str(n) past Python's int/str digit limit, which main lifts only while a verb runs."""
+    limit = _digit_limit()
+    if limit is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_past_the_int_str_digit_limit(capsys):
+    limit = _digit_limit()
+    code, out, err = run(["count", "--class", "A", "--size", "7000"], capsys)
+    assert (code, err) == (0, "")
+    assert out == _decimal(count_series(7000)[7000]) + "\n"
+    assert len(out) == 4388 + 1
+    assert _digit_limit() == limit
 
 
 def test_count_size_3000_is_fast(capsys):
@@ -626,6 +651,19 @@ def test_oeis_names_only_the_missing_indices(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: b3.txt lacks indices -1..-1 and 3..4\n"
+
+
+def test_oeis_reads_and_prints_values_past_the_int_str_digit_limit(tmp_path, capsys):
+    limit = _digit_limit()
+    big = "1" + "0" * 4999
+    bfile = tmp_path / "b_big.txt"
+    bfile.write_text(f"0 1\n1 {big}\n")
+    argv = ["oeis", "--bfile", str(bfile), "--class", "A", "--max-size"]
+    assert run(argv + ["0"], capsys) == (0, "n=0: computed=1 expected=1 ok\nMATCH 1/1\n", "")
+    code, out, err = run(argv + ["1"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [f"n=1: computed=2 expected={big} MISMATCH", "MISMATCH at n=1"]
+    assert _digit_limit() == limit
 
 
 def test_oeis_missing_file(tmp_path, capsys):

@@ -2,33 +2,28 @@ import pytest
 
 from pathbij import (
     MalformedLine,
-    Mismatch,
     NonContiguousIndex,
     RangeNotCovered,
-    SequenceTable,
     compare_sequence,
     parse_bfile,
 )
 
 
 def test_parse_bfile_basic():
-    table = parse_bfile("0 1\n1 2\n")
-    assert table.entries == {0: 1, 1: 2}
-    assert table.first_index == 0
-    assert table.last_index == 1
+    assert parse_bfile("0 1\n1 2\n") == {0: 1, 1: 2}
+    assert list(parse_bfile("0 1\n1 2\n")) == [0, 1]
 
 
 def test_parse_bfile_skips_comments_and_blanks():
-    table = parse_bfile("# a comment\n\n0 1\n  \n1 5\n")
-    assert table.entries == {0: 1, 1: 5}
-    table = parse_bfile("# note\n3 7\n4 9\n5 11\n")
-    assert list(table.entries.items()) == [(3, 7), (4, 9), (5, 11)]
+    assert parse_bfile("# a comment\n\n0 1\n  \n1 5\n") == {0: 1, 1: 5}
+    entries = parse_bfile("# note\n3 7\n4 9\n5 11\n")
+    assert list(entries.items()) == [(3, 7), (4, 9), (5, 11)]
 
 
 def test_parse_bfile_signs_and_big_values():
-    table = parse_bfile("-1 -7\n0 123456789012345678901234567890\n")
-    assert table.entries[-1] == -7
-    assert table.entries[0] == 123456789012345678901234567890
+    entries = parse_bfile("-1 -7\n0 123456789012345678901234567890\n")
+    assert entries[-1] == -7
+    assert entries[0] == 123456789012345678901234567890
 
 
 def test_parse_bfile_malformed():
@@ -64,30 +59,27 @@ def test_parse_bfile_non_contiguous():
 
 
 def test_compare_sequence_match():
-    table = SequenceTable({0: 1, 1: 2, 2: 6})
-    report = compare_sequence([1, 2, 6], table)
-    assert report.ok
-    assert report.matches == 3
-    assert report.summary() == "MATCH 3/3"
+    assert compare_sequence([1, 2, 6], {0: 1, 1: 2, 2: 6}) == 3
 
 
 def test_compare_sequence_mismatch():
-    table = SequenceTable({0: 1, 1: 2, 2: 6})
-    report = compare_sequence([1, 2, 7], table)
-    assert report.first_mismatch == Mismatch(2, 6, 7)
-    assert report.matches == 2
-    assert report.summary() == "MISMATCH at n=2"
+    # The count stops at the first mismatch, here size 2 (6 expected, 7 computed).
+    assert compare_sequence([1, 2, 7, 21], {0: 1, 1: 2, 2: 6, 3: 21}) == 2
+    assert compare_sequence([0, 2], {0: 1, 1: 2}) == 0
 
 
 def test_compare_sequence_offset():
-    table = SequenceTable({5: 10, 6: 20})
-    assert compare_sequence([10, 20], table, start_index=5).ok
+    assert compare_sequence([10, 20], {5: 10, 6: 20}, start_index=5) == 2
 
 
 def test_compare_sequence_empty():
-    assert compare_sequence([], SequenceTable({}), start_index=3).matches == 0
+    assert compare_sequence([], {}, start_index=3) == 0
 
 
 def test_compare_sequence_range_not_covered():
-    with pytest.raises(RangeNotCovered):
-        compare_sequence([1, 2, 3], SequenceTable({0: 1, 1: 2}))
+    with pytest.raises(RangeNotCovered) as exc:
+        compare_sequence([1, 2, 3], {0: 1, 1: 2})
+    assert str(exc.value) == "table lacks indices 2..2"
+    with pytest.raises(RangeNotCovered) as exc:
+        compare_sequence([1, 2, 3, 4], {1: 2, 2: 6}, source_name="b_x.txt")
+    assert str(exc.value) == "b_x.txt lacks indices 0..0 and 3..3"

@@ -3,13 +3,13 @@ import pathlib
 
 import pathbij
 import pathbij.families
+import pathbij.oeis
 import pathbij.paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "Census",
-    "ComparisonReport",
     "Component",
     "ComponentView",
     "DEFAULT_PATTERNS",
@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "InvalidCharacter",
     "InverseDomainError",
     "MalformedLine",
-    "Mismatch",
     "NonContiguousIndex",
     "NotGroundTerminated",
     "NotInClass",
@@ -26,7 +25,6 @@ PUBLIC_NAMES = [
     "PathbijError",
     "Permutation",
     "RangeNotCovered",
-    "SequenceTable",
     "SizeTooLarge",
     "Stage",
     "Step",
@@ -52,8 +50,12 @@ PUBLIC_NAMES = [
     "trace_components",
 ]
 
-# Path-object helpers whose work the word-level functions do.
+# Path-object helpers whose work the word-level functions do, and the b-file records
+# that wrapped a dict and a match count.
 RETIRED_NAMES = [
+    "ComparisonReport",
+    "Mismatch",
+    "SequenceTable",
     "count_class_a",
     "count_class_b",
     "enumerate_class_a",
@@ -74,7 +76,7 @@ def test_public_surface_is_pinned():
 
 
 def test_retired_helpers_are_gone():
-    for module in (pathbij, pathbij.paths, pathbij.families):
+    for module in (pathbij, pathbij.paths, pathbij.families, pathbij.oeis):
         assert [name for name in RETIRED_NAMES if hasattr(module, name)] == [], module.__name__
     assert not hasattr(pathbij.ComponentView, "paths")
 
