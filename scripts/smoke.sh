@@ -64,4 +64,12 @@ test "${#long}" -ge 50000
 image="$(python -m pathbij.cli map --path "$long")"
 test "$(python -m pathbij.cli map --path "$long" --trace | tail -1)" = "$image"
 test "$(python -m pathbij.cli unmap --path "$image")" = "$long"
+# A path of repeated components: its image repeats the components' images, the trace's
+# last line is that image, and unmap undoes it.
+rep="$(python -c 'print("UUFDD" * 3000 + "DDUU" * 3000 + "UUDUDD" * 1000)')"
+image="$(python -m pathbij.cli map --path "$rep")"
+parts="$(for c in UUFDD DDUU UUDUDD; do python -m pathbij.cli map --path "$c"; done)"
+test "$image" = "$(python -c 'import sys; a, b, c = sys.argv[1:]; print(a * 3000 + b * 3000 + c * 1000)' $parts)"
+test "$(python -m pathbij.cli map --path "$rep" --trace | tail -1)" = "$image"
+test "$(python -m pathbij.cli unmap --path "$image")" = "$rep"
 echo "smoke OK"

@@ -21,7 +21,9 @@ backwards on one component and returns the values the component passes
 through; ``map_word`` (under ``phi`` and ``phi_inverse``) joins the last value
 of each of its input's components, so a word's image is decided by its
 components', and ``trace_components`` wraps the same values as ``Stage``s.
-Both check class membership once, so the kernels re-check nothing it implies.
+Both map each distinct component once per call and reuse its values for its
+repeats, and both check class membership once, so the kernels re-check
+nothing it implies.
 The inverse kernels check that their input lies in the forward stage's image
 and raise ``InverseDomainError`` otherwise; for genuine class members those
 checks never fire, which is exactly the reversibility claim the test suite
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .paths import (
     DOWN,
@@ -229,9 +231,22 @@ def _components(steps: str, inverse: bool) -> list[str]:
     return [s for _, s in split_components(steps, hs)]
 
 
+def _each_once(f: Callable[[str], object], comps: list[str]) -> list:
+    """``[f(s) for s in comps]``, calling f once per distinct s.
+
+    The memo lives for this call only.  The components are taken in word
+    order, so the first to raise is the first in the word that would.
+    """
+    seen: dict = {}
+    return [seen[s] if s in seen else seen.setdefault(s, f(s)) for s in comps]
+
+
 def map_word(steps: str, inverse: bool = False) -> str:
-    """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time."""
-    return "".join(_run(s, inverse)[-1][1] for s in _components(steps, inverse))
+    """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time.
+
+    Each distinct component is mapped once per call; repeats reuse its image.
+    """
+    return "".join(_each_once(lambda s: _run(s, inverse)[-1][1], _components(steps, inverse)))
 
 
 def phi(p: Path) -> Path:
@@ -257,6 +272,8 @@ def trace_components(p: Path, *, inverse: bool = False) -> tuple[tuple[Stage, ..
     composite move, so their traces have just the input and output stages.
     """
     return tuple(
-        tuple(Stage(label, Path(steps), **ann) for label, steps, ann in _run(s, inverse))
-        for s in _components(p.steps, inverse)
+        _each_once(
+            lambda s: tuple(Stage(label, Path(w), **ann) for label, w, ann in _run(s, inverse)),
+            _components(p.steps, inverse),
+        )
     )

@@ -24,7 +24,7 @@ from .families import (
     count_class_b_series,
     count_series,
 )
-from .oeis import compare_sequence, parse_bfile
+from .oeis import check_covered, compare_sequence, parse_bfile
 from .paths import (
     DOWN,
     FLAT,
@@ -266,6 +266,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
         return 2
     entries = parse_bfile(text)
+    # Fail on a range the file cannot cover before paying for the DP.
+    check_covered(entries, args.offset, args.max_size + 1, bfile.name)
     series = count_series(args.max_size)  # the same sequence for both classes
     matches = compare_sequence(series, entries, args.offset, bfile.name)
     ok = matches == len(series)

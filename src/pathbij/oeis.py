@@ -6,7 +6,9 @@ Values are arbitrary-precision integers.  Comparison is hermetic: files are
 supplied by the caller, nothing is fetched.
 
 `parse_bfile` returns the terms as an ``{index: value}`` dict in file order;
-`compare_sequence` returns how many leading computed terms match it.
+`compare_sequence` returns how many leading computed terms match it, after
+`check_covered` has checked that the dict holds every index it compares, which
+needs only the number of terms.
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ def parse_bfile(text: str) -> dict[int, int]:
     return entries
 
 
+def check_covered(
+    entries: dict[int, int], start_index: int, count: int, source_name: str = "table"
+) -> None:
+    """Raise RangeNotCovered, naming each run of missing indices, unless entries hold
+    start_index .. start_index + count - 1."""
+    missing = [i for i in range(start_index, start_index + count) if i not in entries]
+    if missing:
+        # Runs of consecutive missing indices share a value of index - position.
+        runs = [[i for _, i in g] for _, g in groupby(enumerate(missing), lambda t: t[1] - t[0])]
+        spans = " and ".join(f"{run[0]}..{run[-1]}" for run in runs)
+        raise RangeNotCovered(f"{source_name} lacks indices {spans}")
+
+
 def compare_sequence(
     computed: Sequence[int],
     entries: dict[int, int],
@@ -70,13 +85,8 @@ def compare_sequence(
     source_name: str = "table",
 ) -> int:
     """Count the leading i with computed[i] == entries[start_index + i], stopping at the first
-    mismatch: len(computed) on a full match."""
-    missing = [start_index + i for i in range(len(computed)) if start_index + i not in entries]
-    if missing:
-        # Runs of consecutive missing indices share a value of index - position.
-        runs = [[i for _, i in g] for _, g in groupby(enumerate(missing), lambda t: t[1] - t[0])]
-        spans = " and ".join(f"{run[0]}..{run[-1]}" for run in runs)
-        raise RangeNotCovered(f"{source_name} lacks indices {spans}")
+    mismatch: len(computed) on a full match.  ``check_covered`` runs first."""
+    check_covered(entries, start_index, len(computed), source_name)
     for i, got in enumerate(computed):
         if got != entries[start_index + i]:
             return i

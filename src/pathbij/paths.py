@@ -25,6 +25,8 @@ FLAT: Step = "F"
 DOWN: Step = "D"
 
 _RISE = {UP: 1, FLAT: 0, DOWN: -1}
+# Byte -> its step's rise as a signed byte; every other byte -> 0x80, which no rise takes.
+_RISE_BYTES = bytes(_RISE.get(chr(b), -128) & 0xFF for b in range(256))
 
 MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
 
@@ -47,8 +49,15 @@ class NotGroundTerminated(PathbijError):
 
 
 def step_heights(steps: str) -> list[int]:
-    """Vertex heights of a step word, starting at 0: one more entry than steps."""
-    return list(accumulate(map(_RISE.__getitem__, steps), initial=0))
+    """Vertex heights of a step word, starting at 0: one more entry than steps.
+
+    Raises ``KeyError`` naming the first character outside U/F/D.
+    """
+    # surrogatepass: a lone surrogate encodes to bytes >= 0x80 instead of raising.
+    rises = steps.encode("utf-8", "surrogatepass").translate(_RISE_BYTES)
+    if 0x80 in rises:  # every byte of a non-ASCII character is >= 0x80, so maps there too
+        return list(accumulate(map(_RISE.__getitem__, steps), initial=0))
+    return [0, *accumulate(memoryview(rises).cast("b"))]
 
 
 def split_components(steps: str, heights: Sequence[int]) -> list[tuple[int, str]]:

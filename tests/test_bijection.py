@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +17,12 @@ from pathbij import (
     Stage,
     trace_components,
 )
+import pathbij.bijection
 from pathbij.bijection import _ABOVE_STAGES, _flatten, map_word
 from pathbij.families import class_a_words, class_b_words
-from pathbij.paths import MIRROR, step_heights
+from pathbij.paths import MIRROR, split_components, step_heights
+
+LONGPATHS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "longpaths.py"
 
 
 def class_a_paths(max_size=5):
@@ -484,3 +490,73 @@ def test_trace_components_check_like_the_maps():
     # The flag is keyword-only: a truthy positional string such as "forward" is refused.
     with pytest.raises(TypeError):
         trace_components(parse_path("UD"), "forward")
+
+
+def _longpath(seed):
+    """The first path of the seeded ``long-paths`` generator: 100 000 steps, 1 000 components."""
+    spec = importlib.util.spec_from_file_location("longpaths", LONGPATHS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(seed, 1, 100_000, 1000)[0]
+
+
+def _parts(w):
+    return [c for _, c in split_components(w, step_heights(w))]
+
+
+def test_repeated_components_map_like_their_composition():
+    long = _longpath(7)
+    assert len(_parts(long)) > len(set(_parts(long)))  # the generator repeats components
+    for p in (long, "UUFDD" * 50 + "DU" * 50, "DU" + "UD" * 3 + "UUFDD" + "DU"):
+        q = "".join(map_word(c) for c in _parts(p))
+        assert map_word(p) == q
+        assert "".join(map_word(c, True) for c in _parts(q)) == map_word(q, True) == p
+        for x, inverse in ((p, False), (q, True)):
+            traces = trace_components(Path(x), inverse=inverse)
+            assert traces == tuple(trace_one(Path(c), inverse) for c in _parts(x))
+
+
+def test_each_distinct_component_runs_once_per_call(monkeypatch):
+    runs = []
+    real_run = pathbij.bijection._run
+
+    def counted_run(steps, inverse):
+        runs.append((steps, inverse))
+        return real_run(steps, inverse)
+
+    monkeypatch.setattr(pathbij.bijection, "_run", counted_run)
+    p = "UUFDD" * 50 + "DU" * 50 + "UUFDD"
+    q = map_word(p)
+    assert runs == [("UUFDD", False), ("DU", False)]
+    for call in (
+        lambda: map_word(q, True),
+        lambda: trace_components(Path(q), inverse=True),
+    ):
+        runs.clear()
+        call()
+        assert runs == [(c, True) for c in dict.fromkeys(_parts(q))]
+    runs.clear()
+    trace_components(Path(p))
+    assert runs == [("UUFDD", False), ("DU", False)]
+    # The memo lives for one call only: a second call runs each component again.
+    runs.clear()
+    map_word(p)
+    map_word(p)
+    assert runs == [("UUFDD", False), ("DU", False)] * 2
+
+
+def test_the_first_failing_component_in_word_order_is_reported(monkeypatch):
+    # UUDD precedes DU in the word but follows it in ASCII order.
+    real_run = pathbij.bijection._run
+
+    def faulty_run(steps, inverse):
+        if steps in ("UUDD", "DU"):
+            raise InverseDomainError(f"cannot map {steps}")
+        return real_run(steps, inverse)
+
+    monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
+    p = "UD" + "UUDD" + "DU" + "UUDD" + "DU"
+    for call in (lambda: map_word(p), lambda: trace_components(Path(p))):
+        with pytest.raises(InverseDomainError) as exc:
+            call()
+        assert str(exc.value) == "cannot map UUDD"

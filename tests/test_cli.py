@@ -114,6 +114,22 @@ def test_map_trace_multi_component(capsys):
 
 
 
+def test_map_trace_heads_each_repeated_component(capsys):
+    # DU and UUFDD repeat; each occurrence prints its own header and its full trace.
+    _, above, _ = run(["map", "--path", "UUFDD", "--trace"], capsys)
+    _, below, _ = run(["map", "--path", "DU", "--trace"], capsys)
+    above, below = above.splitlines()[:-1], below.splitlines()[:-1]
+    code, out, _ = run(["map", "--path", "DUUUFDDDUUUFDD", "--trace"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "component 1: DU", *below,
+        "component 2: UUFDD", *above,
+        "component 3: DU", *below,
+        "component 4: UUFDD", *above,
+        "FUFUDDFUFUDD",
+    ]
+
+
 def test_unmap_inverse_stage_failure_exits_one(capsys, monkeypatch):
     # A recover-marks stage that shifts every mark makes contract-marks see no valley.
     table = list(pathbij.bijection._ABOVE_STAGES)
@@ -651,6 +667,25 @@ def test_oeis_names_only_the_missing_indices(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: b3.txt lacks indices -1..-1 and 3..4\n"
+
+
+def test_oeis_checks_the_range_before_counting(tmp_path, capsys, monkeypatch):
+    # A file that cannot cover the sizes asked for fails before the DP runs.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return count_series(n)
+
+    monkeypatch.setattr(pathbij.cli, "count_series", counted)
+    bfile = tmp_path / "b2.txt"
+    bfile.write_text("0 1\n1 2\n")
+    argv = ["oeis", "--bfile", str(bfile), "--class", "A", "--max-size"]
+    assert run(argv + ["20000"], capsys) == (2, "", "error: b2.txt lacks indices 2..20000\n")
+    assert calls == []
+    matched = "n=0: computed=1 expected=1 ok\nn=1: computed=2 expected=2 ok\nMATCH 2/2\n"
+    assert run(argv + ["1"], capsys) == (0, matched, "")
+    assert calls == [1]
 
 
 def test_oeis_reads_and_prints_values_past_the_int_str_digit_limit(tmp_path, capsys):

@@ -5,8 +5,9 @@ versions of the kernels in ``pathbij.bijection`` and the word functions in
 ``pathbij.paths``: a loop over characters for ``_expand_flats``, one
 ``split_components`` part and one ``translate`` per component for
 ``_flip_marked`` and ``_recover_marks``, one slice per mark for
-``_contract_marks``, a slice copy per peak pair for ``class_b_word`` and a
-zero count for ``split_components``.  Every output and annotation must agree,
+``_contract_marks``, a slice copy per peak pair for ``class_b_word``, a
+zero count for ``split_components`` and a dict lookup per character for
+``step_heights``.  Every output and annotation must agree,
 on every component up to size 8 and on long seeded components.
 """
 
@@ -26,6 +27,10 @@ from pathbij.bijection import (
 )
 from pathbij.families import class_a_words, class_b_words
 from pathbij.paths import MIRROR, class_a_word, class_b_word, split_components, step_heights
+
+
+def ref_step_heights(steps):
+    return list(itertools.accumulate(({"U": 1, "F": 0, "D": -1}[c] for c in steps), initial=0))
 
 
 def ref_split_components(steps, heights):
@@ -168,6 +173,24 @@ def test_class_b_word_and_split_components_match_the_references(length):
             assert split_components(word, hs) == ref_split_components(word, hs)
 
 
+def test_step_heights_matches_the_reference_on_every_short_word():
+    for length in range(9):
+        for word in map("".join, itertools.product("DFU", repeat=length)):
+            assert step_heights(word) == ref_step_heights(word)
+
+
+@pytest.mark.parametrize("word,bad", [
+    ("UXD", "X"), ("U\u00e9D", "\u00e9"), ("U\x80D", "\x80"), ("U\x00D", "\x00"),
+    ("U\ud800D", "\ud800"), ("UFDUUDZ\u00e9", "Z"),
+])
+def test_step_heights_names_the_first_bad_character(word, bad):
+    # A lone surrogate has no UTF-8 encoding; it must still give the KeyError.
+    for f in (step_heights, ref_step_heights):
+        with pytest.raises(KeyError) as exc:
+            f(word)
+        assert exc.value.args == (bad,)
+
+
 def _dyck(rng, k):
     """A random Dyck path of semilength k: the cycle lemma on k ups and k + 1 downs."""
     steps = ["U"] * k + ["D"] * (k + 1)
@@ -209,6 +232,7 @@ def long_above_component(seed, min_steps=20_000, min_flats=500):
 def test_long_components_match_the_references(seed):
     c = long_above_component(seed)
     hs = step_heights(c)
+    assert hs == ref_step_heights(c)
     assert len(c) >= 20_000 and c.count("F") >= 500 and max(hs) >= 100
     assert class_a_word(c, hs) and hs.count(0) == 2
     forward, checked = check_against_references(c, inverse=False)
@@ -222,6 +246,7 @@ def test_long_components_match_the_references(seed):
     p = c + below + "UD" + "DU" + long_above_component(seed + 10) + below + c
     p_hs, image = step_heights(p), map_word(p)
     q_hs = step_heights(image)
+    assert p_hs == ref_step_heights(p) and q_hs == ref_step_heights(image)
     assert split_components(p, p_hs) == ref_split_components(p, p_hs)
     assert split_components(image, q_hs) == ref_split_components(image, q_hs)
     assert class_b_word(image, q_hs) is ref_class_b_word(image, q_hs) is True

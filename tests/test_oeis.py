@@ -7,6 +7,7 @@ from pathbij import (
     compare_sequence,
     parse_bfile,
 )
+from pathbij.oeis import check_covered
 
 
 def test_parse_bfile_basic():
@@ -83,3 +84,14 @@ def test_compare_sequence_range_not_covered():
     with pytest.raises(RangeNotCovered) as exc:
         compare_sequence([1, 2, 3, 4], {1: 2, 2: 6}, source_name="b_x.txt")
     assert str(exc.value) == "b_x.txt lacks indices 0..0 and 3..3"
+
+
+def test_check_covered_needs_only_the_term_count():
+    check_covered({0: 1, 1: 2}, 0, 2)
+    check_covered({}, 5, 0)
+    with pytest.raises(RangeNotCovered) as exc:
+        check_covered({0: 1, 1: 2}, 0, 20_001, "b2.txt")
+    assert str(exc.value) == "b2.txt lacks indices 2..20000"
+    with pytest.raises(RangeNotCovered) as exc:
+        check_covered({1: 2, 2: 6}, -1, 5)
+    assert str(exc.value) == "table lacks indices -1..0 and 3..3"
