@@ -22,6 +22,61 @@ test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD)" = FUDUFDUUFUDDD
 test "$(python -m pathbij.cli unmap --path FUDUFDUUFUDDD)" = DUUDDDUUUUUDFDD
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD --trace | tail -1)" = FUDUFDUUFUDDD
 test "$(python -m pathbij.cli unmap --path FUDUFDUUFUDDD --trace | tail -1)" = DUUDDDUUUUUDFDD
+# The whole trace of the worked example in each direction, byte for byte.
+cat > "$tmp/map.trace" <<'EOF'
+component 1: DU
+input: DU
+output: F
+component 2: UD
+input: UD
+strip-ends:
+expand-flats:
+flip-components:
+interchange:
+flatten-peaks:
+output: UD
+component 3: DDUU
+input: DDUU
+output: UFD
+component 4: UUUDFDD
+input: UUUDFDD
+strip-ends: UUDFD
+expand-flats: UUDDUD marks=4
+flip-components: DDUUDU v1=2 v2=6
+interchange: UUDUDD w=4
+flatten-peaks: UFUDD
+output: UUFUDDD
+FUDUFDUUFUDDD
+EOF
+python -m pathbij.cli map --path DUUDDDUUUUUDFDD --trace > "$tmp/map.out"
+cmp "$tmp/map.trace" "$tmp/map.out"
+cat > "$tmp/unmap.trace" <<'EOF'
+component 1: F
+input: F
+output: DU
+component 2: UD
+input: UD
+strip-ends:
+unflatten-flats:
+reverse-interchange:
+recover-marks:
+contract-marks:
+output: UD
+component 3: UFD
+input: UFD
+output: DDUU
+component 4: UUFUDDD
+input: UUFUDDD
+strip-ends: UFUDD
+unflatten-flats: UUDUDD w=4
+reverse-interchange: DDUUDU
+recover-marks: UUDDUD marks=4
+contract-marks: UUDFD
+output: UUUDFDD
+DUUDDDUUUUUDFDD
+EOF
+python -m pathbij.cli unmap --path FUDUFDUUFUDDD --trace > "$tmp/unmap.out"
+cmp "$tmp/unmap.trace" "$tmp/unmap.out"
 first="$(python -m pathbij.cli enumerate --class A --size 9 2> "$tmp/enumerate.err" | head -1)"
 test "$first" = DDDDDDDDDUUUUUUUUU
 if grep -q Traceback "$tmp/enumerate.err"; then exit 1; fi
@@ -51,6 +106,11 @@ case "$err" in "error: malformed b-file line 2"*) ;; *) exit 1 ;; esac
 rc=0
 python -m pathbij.cli perms --n 4 --patterns "$(printf '\331\243\331\242\331\244\331\241')" > /dev/null 2>&1 || rc=$?
 test "$rc" = 2
+# A size that is not an integer is a usage error, with no traceback.
+rc=0
+python -m pathbij.cli count --class A --size x > /dev/null 2> "$tmp/size.err" || rc=$?
+test "$rc" = 2
+if grep -q Traceback "$tmp/size.err"; then exit 1; fi
 for argv in "map --path F" "unmap --path UUDUDD"; do
   rc=0
   err="$(python -m pathbij.cli $argv 2>&1 > /dev/null)" || rc=$?

@@ -20,14 +20,14 @@ its inverse in ``_ABOVE_STAGES``.  ``_run`` runs the table forwards or
 backwards on one component and returns the values the component passes
 through; ``map_word`` (under ``phi`` and ``phi_inverse``) joins the last value
 of each of its input's components, so a word's image is decided by its
-components', and ``trace_components`` wraps the same values as ``Stage``s.
-Both map each distinct component once per call and reuse its values for its
-repeats, and both check class membership once, so the kernels re-check
-nothing it implies.
-The inverse kernels check that their input lies in the forward stage's image
-and raise ``InverseDomainError`` otherwise; for genuine class members those
-checks never fire, which is exactly the reversibility claim the test suite
-verifies exhaustively.
+components', and ``trace_components`` records the same step words as
+``Stage``s.  Both map each distinct component once per call and reuse its
+values for its repeats, and both check class membership once, where the word
+enters.  The inverse kernels still re-test facts that membership implies for
+their input -- a Dyck or grand Dyck shape, a valley at each mark, a peak apex
+at w -- and raise ``InverseDomainError`` when one fails; for genuine class
+members those checks never fire, which is exactly the reversibility claim the
+test suite verifies exhaustively.
 """
 
 from __future__ import annotations
@@ -203,14 +203,14 @@ class Stage(NamedTuple):
     """
 
     label: str
-    path: Path
+    path: str  # the step word
     marks: frozenset[int] = frozenset()
     v1: int | None = None
     v2: int | None = None
     w: int | None = None
 
     def line(self) -> str:
-        out = f"{self.label}: {self.path.steps}".rstrip()
+        out = f"{self.label}: {self.path}".rstrip()
         if self.marks:
             out += " marks=" + ",".join(str(m) for m in sorted(self.marks))
         if self.v1 is not None:
@@ -273,7 +273,7 @@ def trace_components(p: Path, *, inverse: bool = False) -> tuple[tuple[Stage, ..
     """
     return tuple(
         _each_once(
-            lambda s: tuple(Stage(label, Path(w), **ann) for label, w, ann in _run(s, inverse)),
+            lambda s: tuple(Stage(label, w, **ann) for label, w, ann in _run(s, inverse)),
             _components(p.steps, inverse),
         )
     )

@@ -143,12 +143,13 @@ def cmd_map(args: argparse.Namespace) -> int:
         print((phi_inverse if args.inverse else phi)(p).steps)
         return 0
     traces = trace_components(p, inverse=args.inverse)  # checks the input before anything prints
+    blocks: dict[int, str] = {}  # id(stages) -> its lines; repeated components share one tuple
     for i, stages in enumerate(traces):
-        lines = [stage.line() for stage in stages]
-        if len(traces) > 1:
-            lines.insert(0, f"component {i + 1}: {stages[0].path.steps}")
-        print("\n".join(lines))  # one print per component, never a copy of the whole trace
-    print("".join(stages[-1].path.steps for stages in traces))
+        if id(stages) not in blocks:
+            blocks[id(stages)] = "\n".join(stage.line() for stage in stages)
+        head = f"component {i + 1}: {stages[0].path}\n" if len(traces) > 1 else ""
+        print(head + blocks[id(stages)])  # one print per component, never a copy of the whole trace
+    print("".join(stages[-1].path for stages in traces))
     return 0
 
 

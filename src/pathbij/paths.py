@@ -56,7 +56,7 @@ def step_heights(steps: str) -> list[int]:
     # surrogatepass: a lone surrogate encodes to bytes >= 0x80 instead of raising.
     rises = steps.encode("utf-8", "surrogatepass").translate(_RISE_BYTES)
     if 0x80 in rises:  # every byte of a non-ASCII character is >= 0x80, so maps there too
-        return list(accumulate(map(_RISE.__getitem__, steps), initial=0))
+        raise KeyError(next(c for c in steps if c not in _RISE))
     return [0, *accumulate(memoryview(rises).cast("b"))]
 
 
@@ -99,15 +99,6 @@ class Path:
     @property
     def end_height(self) -> int:
         return self.heights[-1]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __str__(self) -> str:
-        return self.steps
-
-    def __repr__(self) -> str:
-        return f"Path({self.steps!r})"
 
 
 def parse_path(text: str) -> Path:

@@ -90,12 +90,10 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     pats = frozenset(rank_signature(p) for p in patterns)
     if not pats:
         return math.factorial(m)
-    if () in pats:
-        return 0  # the empty pattern occurs in every permutation
-    # The root's full test: a 1 inserted into the empty permutation is an occurrence
-    # of (1,) and of no longer pattern.
-    if (1,) in pats:
-        return int(m == 0)
+    # A pattern of k < 2 entries occurs in every permutation of k or more elements.
+    shortest = min(map(len, pats))
+    if shortest < 2:
+        return int(m < shortest)
     if m <= 1:
         return 1  # the walk below starts from the one avoider of [1]
     # Below the root, the new maximum k + 1 is tested only against occurrences that

@@ -70,7 +70,7 @@ def test_criterion_3_stage_trace_golden():
     t0 = time.perf_counter()
     (stages,) = trace_components(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"))
     elapsed = time.perf_counter() - t0
-    assert [(s.label, s.path.steps) for s in stages[:5]] == [
+    assert [(s.label, s.path) for s in stages[:5]] == [
         ("input", "UUUDDUFUUDUDDUDDUDUUDDD"),
         ("strip-ends", "UUDDUFUUDUDDUDDUDUUDD"),
         ("expand-flats", "UUDDUDUUUDUDDUDDUDUUDD"),
@@ -80,9 +80,9 @@ def test_criterion_3_stage_trace_golden():
     assert stages[2].marks == {6}
     assert (stages[3].v1, stages[3].v2) == (9, 16)
     assert stages[4].w == 7
-    assert stages[5].path.steps == "FUFUUDDUUFDDDFUFD"
-    assert stages[6].path.steps == "UFUFUUDDUUFDDDFUFDD"
-    assert stages[6].path.steps.count("UD") == 1
+    assert stages[5].path == "FUFUUDDUUFDDDFUFD"
+    assert stages[6].path == "UFUFUUDDUUFDDDFUFDD"
+    assert stages[6].path.count("UD") == 1
     assert elapsed < 0.001
     _report(3, f"seven-stage trace golden ({elapsed * 1e6:.0f}us)")
 

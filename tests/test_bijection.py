@@ -346,9 +346,9 @@ def test_properties_beyond_exhaustive_sizes(case):
     p_parts, q_parts = [c.path for c in components(p)], [c.path for c in components(q)]
     assert [c.size for c in p_parts] == [c.size for c in q_parts]
     assert [c.steps.count("UD") for c in q_parts] == [int(above) for above in sides]
-    forward = [trace_one(c)[-1].path.steps for c in p_parts]
+    forward = [trace_one(c)[-1].path for c in p_parts]
     assert "".join(forward) == q.steps
-    inverse = [trace_one(c, inverse=True)[-1].path.steps for c in q_parts]
+    inverse = [trace_one(c, inverse=True)[-1].path for c in q_parts]
     assert "".join(inverse) == p.steps
 
 
@@ -373,6 +373,28 @@ def test_phi_builds_at_most_two_paths_per_call():
         Path.__post_init__ = post_init
 
 
+def test_trace_builds_no_paths_and_records_words():
+    """The input is validated once, where it enters; each stage holds its step word."""
+    p = parse_path("DUUDDDUUUUUDFDDUUFDDUUFDD")
+    q = phi(p)
+    calls = []
+    post_init = Path.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    Path.__post_init__ = counted
+    try:
+        for x, inverse in ((p, False), (q, True)):
+            traces = trace_components(x, inverse=inverse)
+            assert len(traces) == 6
+            assert all(type(s.path) is str for stages in traces for s in stages)
+        assert calls == []
+    finally:
+        Path.__post_init__ = post_init
+
+
 def test_trace_forward_worked_stages():
     """Golden trace for the 12-size worked component.
 
@@ -391,17 +413,17 @@ def test_trace_forward_worked_stages():
         ("flatten-peaks", "FUFUUDDUUFDDDFUFD"),
         ("output", "UFUFUUDDUUFDDDFUFDD"),
     ]
-    assert [(s.label, s.path.steps) for s in stages] == expected
+    assert [(s.label, s.path) for s in stages] == expected
     assert stages[2].marks == {6}
     assert (stages[3].v1, stages[3].v2) == (9, 16)
     assert stages[4].w == 7
-    assert stages[5].path.steps.endswith("FUFD")
-    assert stages[6].path.steps.count("UD") == 1
+    assert stages[5].path.endswith("FUFD")
+    assert stages[6].path.count("UD") == 1
 
 
 def test_trace_forward_below_component():
     stages = trace_one(parse_path("DU"))
-    assert [(s.label, s.path.steps) for s in stages] == [("input", "DU"), ("output", "F")]
+    assert [(s.label, s.path) for s in stages] == [("input", "DU"), ("output", "F")]
 
 
 def test_trace_forward_degenerate():
@@ -411,22 +433,22 @@ def test_trace_forward_degenerate():
         "input", "strip-ends", "expand-flats", "flip-components",
         "interchange", "flatten-peaks", "output",
     ]
-    assert [s.path.steps for s in stages] == ["UD", "", "", "", "", "", "UD"]
+    assert [s.path for s in stages] == ["UD", "", "", "", "", "", "UD"]
 
 
 def test_trace_inverse_roundtrips_forward():
     """The inverse trace lists the forward trace's values in reverse, with the same marks and w."""
     for c in above_components(6):
         fwd = trace_one(Path(c))
-        inv = trace_one(fwd[-1].path, inverse=True)
+        inv = trace_one(Path(fwd[-1].path), inverse=True)
         assert [(s.path, s.marks, s.w) for s in inv] == [
             (s.path, s.marks, s.w) for s in reversed(fwd)
         ]
         swapped = fwd[4]
         assert swapped.label == "interchange"
-        if swapped.path.steps:
-            assert min(swapped.path.heights) >= 0
-            assert swapped.path.steps[swapped.w - 1 : swapped.w + 1] == "UD"
+        if swapped.path:
+            assert min(step_heights(swapped.path)) >= 0
+            assert swapped.path[swapped.w - 1 : swapped.w + 1] == "UD"
 
 
 def test_trace_serialization():
@@ -445,15 +467,15 @@ def test_trace_serialization():
 def test_stage_is_an_immutable_hashable_record():
     assert Stage._fields == ("label", "path", "marks", "v1", "v2", "w")
     assert Stage._field_defaults == {"marks": frozenset(), "v1": None, "v2": None, "w": None}
-    stage = Stage("strip-ends", parse_path("UUDFD"))
+    stage = Stage("strip-ends", "UUDFD")
     assert (stage.marks, stage.v1, stage.v2, stage.w) == (frozenset(), None, None, None)
     assert stage.line() == "strip-ends: UUDFD"
-    assert Stage("strip-ends", parse_path("")).line() == "strip-ends:"
-    flipped = Stage("flip-components", parse_path("DDUUDU"), v1=2, v2=6)
+    assert Stage("strip-ends", "").line() == "strip-ends:"
+    flipped = Stage("flip-components", "DDUUDU", v1=2, v2=6)
     assert flipped.line() == "flip-components: DDUUDU v1=2 v2=6"
     # A record compares (and hashes) as the plain tuple of its six fields.
-    assert stage == ("strip-ends", parse_path("UUDFD"), frozenset(), None, None, None)
-    assert hash(flipped) == hash(("flip-components", parse_path("DDUUDU"), frozenset(), 2, 6, None))
+    assert stage == ("strip-ends", "UUDFD", frozenset(), None, None, None)
+    assert hash(flipped) == hash(("flip-components", "DDUUDU", frozenset(), 2, 6, None))
     stages = trace_one(parse_path("UUUDFDD"))
     assert len(set(stages)) == len(stages) == 7
     assert all(type(s) is Stage for s in stages)
@@ -472,7 +494,7 @@ def test_trace_components_agree_with_the_maps():
                 traces = trace_components(x, inverse=inverse)
                 parts = [c.path for c in components(x)]
                 assert traces == tuple(trace_one(c, inverse) for c in parts)
-                assert "".join(stages[-1].path.steps for stages in traces) == y.steps
+                assert "".join(stages[-1].path for stages in traces) == y.steps
 
 
 def test_trace_components_check_like_the_maps():

@@ -757,6 +757,24 @@ def test_negative_size_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (["count", "--class", "A", "--size", "x"], "argument --size: invalid int value: 'x'"),
+        (["verify", "--max-size", "1.5"], "argument --max-size: invalid int value: '1.5'"),
+        (["perms", "--n", ""], "argument --n: invalid int value: ''"),
+    ],
+)
+def test_non_integer_size_is_usage_error(argv, tail, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(tail + "\n")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--class", "C", "--size", "1"])

@@ -29,7 +29,7 @@ def test_parse_empty():
     p = parse_path("")
     assert p.size == 0
     assert p.heights == (0,)
-    assert len(p) == 0
+    assert p.steps == ""
 
 
 def test_parse_basic_geometry():

@@ -119,6 +119,8 @@ LENGTH_FIVE_SETS = [
 SCAN_CASES += [(m, pats) for pats in LENGTH_FIVE_SETS for m in range(8)]
 # A length-1 pattern kills the root's one site: 1 avoider at m = 0, none after.
 SCAN_CASES += [(m, ((1,), (3, 2, 4, 1))) for m in range(7)]
+# The shortest pattern decides: the empty one occurs even in the empty permutation.
+SCAN_CASES += [(m, ((), (1, 2))) for m in range(7)]
 
 
 def _case_id(case):
