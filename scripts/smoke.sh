@@ -12,9 +12,12 @@ python -m pathbij.cli count --class A --size 3000 > /dev/null
 out="$(python -m pathbij.cli count --class A --size 7000 2> "$tmp/count.err")"
 test "${#out}" = 4388
 if grep -q Traceback "$tmp/count.err"; then exit 1; fi
-out="$(python -m pathbij.cli verify --max-size 10 --census)"
-test "$(printf '%s\n' "$out" | wc -l)" = 11
-test "$(printf '%s\n' "$out" | grep -c ' bijection OK$')" = 11
+# The whole verify output, byte for byte: a reordered or miscounted scan fails here.
+i=0; for a in 1 2 6 21 79 309 1237 5026 20626 85242 354080; do
+  echo "n=$i: |A|=$a |B|=$a bijection OK"; i=$((i + 1))
+done > "$tmp/verify.expected"
+python -m pathbij.cli verify --max-size 10 --census > "$tmp/verify.out"
+cmp "$tmp/verify.expected" "$tmp/verify.out"
 test "$(python -m pathbij.cli perms --n 9)" = 20626
 test "$(python -m pathbij.cli perms --n 8 --patterns 4321)" = 15767
 test "$(python -m pathbij.cli perms --n 9 --patterns 123)" = 4862

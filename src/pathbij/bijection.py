@@ -18,16 +18,17 @@ each indecomposable component independently:
 Each stage is defined once, as a private kernel on step strings paired with
 its inverse in ``_ABOVE_STAGES``.  ``_run`` runs the table forwards or
 backwards on one component and returns the values the component passes
-through; ``map_word`` (under ``phi`` and ``phi_inverse``) joins the last value
-of each of its input's components, so a word's image is decided by its
-components', and ``trace_components`` records the same step words as
-``Stage``s.  Both map each distinct component once per call and reuse its
-values for its repeats, and both check class membership once, where the word
-enters.  The inverse kernels still re-test facts that membership implies for
-their input -- a Dyck or grand Dyck shape, a valley at each mark, a peak apex
-at w -- and raise ``InverseDomainError`` when one fails; for genuine class
-members those checks never fire, which is exactly the reversibility claim the
-test suite verifies exhaustively.
+through, the last of which is ``map_component``; ``map_word`` (under ``phi``
+and ``phi_inverse``) joins the ``map_component`` of each of its input's
+components, so a word's image is decided by its components', and
+``trace_components`` records the same step words as ``Stage``s.  Both map
+each distinct component once per call and reuse its values for its repeats,
+and both check class membership once, where the word enters.  The inverse
+kernels still re-test facts that membership implies for their input -- a Dyck
+or grand Dyck shape, a valley at each mark, a peak apex at w -- and raise
+``InverseDomainError`` when one fails; for genuine class members those checks
+never fire, which is exactly the reversibility claim the test suite verifies
+exhaustively.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ class InverseDomainError(PathbijError):
 
 class NotInClass(PathbijError):
     """The path does not belong to the family the map is defined on."""
+
+    # The message for each domain, indexed by the maps' ``inverse`` flag.
+    MESSAGES = (
+        "input is not a grand Schroeder path with all flatsteps on y=2",
+        "input is not a Schroeder path with at most one peak per component",
+    )
 
 
 def _flatten(s: str, keep: int | None = None) -> str:
@@ -223,11 +230,8 @@ class Stage(NamedTuple):
 def _components(steps: str, inverse: bool) -> list[str]:
     """The components of a member of the map's domain, checked once here."""
     hs = step_heights(steps)
-    if inverse:
-        if not class_b_word(steps, hs):
-            raise NotInClass("input is not a Schroeder path with at most one peak per component")
-    elif not class_a_word(steps, hs):
-        raise NotInClass("input is not a grand Schroeder path with all flatsteps on y=2")
+    if not (class_b_word if inverse else class_a_word)(steps, hs):
+        raise NotInClass(NotInClass.MESSAGES[inverse])
     return [s for _, s in split_components(steps, hs)]
 
 
@@ -241,12 +245,17 @@ def _each_once(f: Callable[[str], object], comps: list[str]) -> list:
     return [seen[s] if s in seen else seen.setdefault(s, f(s)) for s in comps]
 
 
+def map_component(steps: str, inverse: bool = False) -> str:
+    """The image of one component of the map's domain, which is not checked here."""
+    return _run(steps, inverse)[-1][1]
+
+
 def map_word(steps: str, inverse: bool = False) -> str:
     """``phi`` (``phi_inverse`` if ``inverse``) on a step word, one component at a time.
 
     Each distinct component is mapped once per call; repeats reuse its image.
     """
-    return "".join(_each_once(lambda s: _run(s, inverse)[-1][1], _components(steps, inverse)))
+    return "".join(_each_once(lambda s: map_component(s, inverse), _components(steps, inverse)))
 
 
 def phi(p: Path) -> Path:

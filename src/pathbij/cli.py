@@ -13,9 +13,18 @@ import argparse
 import os
 import pathlib
 import sys
+from itertools import accumulate, islice, repeat
+from operator import add, eq, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bijection import InverseDomainError, map_word, phi, phi_inverse, trace_components
+from .bijection import (
+    InverseDomainError,
+    NotInClass,
+    map_component,
+    phi,
+    phi_inverse,
+    trace_components,
+)
 from .families import (
     Census,
     class_a_words,
@@ -39,6 +48,7 @@ from .paths import (
 from .permutations import count_avoiders, parse_patterns
 
 DEFAULT_VERIFY_SIZE = 8
+_SCAN_CHUNK = 256  # words per joined height profile in verify's scan; bounds its memory
 
 
 def _size(text: str) -> int:
@@ -159,10 +169,11 @@ def _size_of(word: str) -> int:
 
 def _component_problems(c: str) -> list[str]:
     """Problems of a class-A component (``check_size`` passes no other word): its image must
-    be one component of its size, peak-free below ground and one-peaked above, and map back."""
+    be one class-B component of its size, peak-free below ground and one-peaked above, and
+    map back."""
     problems = []
     try:
-        q = map_word(c)
+        q = map_component(c)
         if _size_of(q) != _size_of(c):
             return [f"size changed: {c} -> {q}"]
         q_hs = step_heights(q)
@@ -170,7 +181,9 @@ def _component_problems(c: str) -> list[str]:
             return [f"component sizes changed: {c} -> {q}"]
         if q.count(UP + DOWN) != (0 if c[0] == DOWN else 1):
             problems.append(f"peak structure wrong: {c} -> {q}")
-        if map_word(q, True) != c:
+        if not class_b_word(q, q_hs):  # the inverse map's domain
+            raise NotInClass(NotInClass.MESSAGES[True])
+        if map_component(q, True) != c:
             problems.append(f"inverse roundtrip failed for {c}")
     except PathbijError as exc:
         problems.append(f"error for {c}: {exc}")
@@ -181,16 +194,39 @@ def _scan(
     name: str, words: Iterable[str], n: int, count: int, member: Callable[..., bool], premises: list
 ) -> Iterator[str]:
     """Yield the one-component members of a class's size-n words; once they run out, append
-    that class's count, sorted and outside messages to premises, each "" if it holds."""
+    that class's count, sorted and outside messages to premises, each "" if it holds.
+
+    The words are read _SCAN_CHUNK at a time (see ``check_size``).  Joined words that
+    each end on ground keep their own heights, so their join is a member just when each
+    word is, and a word is one component when its next ground vertex is its end.
+    """
+    words = iter(words)
     length, in_order, outside, last = 0, True, None, None
-    for length, w in enumerate(words, 1):
-        in_order = in_order and (last is None or last < w)
-        last = w
-        hs = step_heights(w)
-        if _size_of(w) != n or not member(w, hs):
-            outside = w if outside is None else outside
-        elif hs.count(0) == 2:
-            yield w
+    while chunk := list(islice(words, _SCAN_CHUNK)):
+        length += len(chunk)
+        in_order = in_order and (last is None or last < chunk[0])
+        in_order = in_order and all(map(lt, chunk, chunk[1:]))
+        last = chunk[-1]
+        joined = "".join(chunk)
+        hs = step_heights(joined)
+        lens = list(map(len, chunk))
+        ends = list(accumulate(lens))
+        # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
+        if (
+            not any(map(hs.__getitem__, ends))
+            and all(map(eq, map(add, lens, map(str.count, chunk, repeat(FLAT))), repeat(2 * n)))
+            and member(joined, hs)
+        ):
+            for w, s, e in zip(chunk, [0, *ends], ends):
+                if s < e and hs.index(0, s + 1) == e:  # nonempty, on ground only at its ends
+                    yield w
+            continue
+        for w in chunk:
+            hs = step_heights(w)
+            if _size_of(w) != n or not member(w, hs):
+                outside = w if outside is None else outside
+            elif hs.count(0) == 2:
+                yield w
     premises.append((
         f"count {name} {count} != enumeration {length}" if count != length else "",
         "" if in_order else f"class {name} enumeration is not strictly sorted",
@@ -208,10 +244,14 @@ def check_size(
     run: when sizes 0..n all pass, each enumeration is strictly sorted, as long as its
     count and holds only size-n members of its class, so it is all of A_n (B_n); each
     indecomposable of size k <= n passed at size k (a failed one, c, fails each larger
-    size, which holds c + UD*(n-k)).  As ``map_word`` joins the components' images, it
-    maps A_n into B_n with a left inverse, and |A_n| = count_a = count_b = |B_n|
-    (``cmd_verify`` checks the middle equality) makes it onto B_n.  One scan per class
-    checks those premises and tallies the census; ``census`` adds the comparison line.
+    size, which holds c + UD*(n-k)).  As ``map_word`` joins the components' images
+    (``map_component`` of each), it maps A_n into B_n with a left inverse, and
+    |A_n| = count_a = count_b = |B_n| (``cmd_verify`` checks the middle equality) makes it
+    onto B_n.  One scan per class checks those premises, a chunk of words at a time, and
+    tallies the census; ``census`` adds the comparison line.  A chunk's test is the
+    per-word premises applied to the concatenation of its words, each of which must end on
+    ground; a chunk that fails it is checked again word by word, and only that per-word
+    loop names a word.
     """
     problems = [f"smaller components failed: {len(failed)}, first {failed[0]}"] if failed else []
     kinds = [0, 0, 0, 0]  # the census: below_a, above_a, nopeak_b, onepeak_b

@@ -70,16 +70,20 @@ def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:
     width = 2 * max_n
     cols: list[dict[int, int]] = [defaultdict(int) for _ in range(width + 1)]
     cols[0][0] = 1
+    counts = []
     for x in range(width):
         rem = width - x
-        for h, c in cols[x].items():
+        col, cols[x] = cols[x], None  # read only here: release it before its counts move on
+        if x % 2 == 0:
+            counts.append(col.get(0, 0))
+        for h, c in col.items():
             if abs(h + 1) < rem:
                 cols[x + 1][h + 1] += c
             if abs(h - 1) < rem:
                 cols[x + 1][h - 1] += c
             if h == flat_line and abs(h) <= rem - 2:
                 cols[x + 2][h] += c
-    return [cols[2 * i].get(0, 0) for i in range(max_n + 1)]
+    return counts + [cols[width].get(0, 0)]
 
 
 def count_class_b_series(max_n: int) -> list[int]:
@@ -90,9 +94,13 @@ def count_class_b_series(max_n: int) -> list[int]:
     start = (0, False, False)
     cols: list[dict[tuple[int, bool, bool], int]] = [defaultdict(int) for _ in range(width + 1)]
     cols[0][start] = 1
+    counts = []
     for x in range(width):
         rem = width - x
-        for (h, last_up, peak_used), c in cols[x].items():
+        col, cols[x] = cols[x], None  # read only here: release it before its counts move on
+        if x % 2 == 0:
+            counts.append(col.get(start, 0))
+        for (h, last_up, peak_used), c in col.items():
             if h + 1 < rem:
                 cols[x + 1][(h + 1, True, peak_used)] += c
             if h >= 1 and not (last_up and peak_used):
@@ -100,7 +108,7 @@ def count_class_b_series(max_n: int) -> list[int]:
                 cols[x + 1][nxt] += c
             if h <= rem - 2:
                 cols[x + 2][(h, False, peak_used)] += c
-    return [cols[2 * i].get(start, 0) for i in range(max_n + 1)]
+    return counts + [cols[width].get(start, 0)]
 
 
 def count_series(max_n: int) -> list[int]:

@@ -11,10 +11,10 @@ import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import count_class_a_series, count_class_b_series, count_series
-from pathbij.bijection import map_word
+from pathbij.bijection import map_component, map_word
 from pathbij.cli import main
 from pathbij.families import Census, class_a_words, class_b_words, indec_census
-from pathbij.paths import step_heights
+from pathbij.paths import class_a_word, class_b_word, step_heights
 
 
 def run(argv, capsys):
@@ -262,11 +262,11 @@ def _size(word):
 
 
 def _faulty(forward=None, backward=None):
-    """``map_word`` with a fault on every word it maps in one direction."""
+    """``map_component`` with a fault on every component it maps in one direction."""
 
     def faulty(word, inverse=False):
         fault = backward if inverse else forward
-        return fault(word) if fault else map_word(word, inverse)
+        return fault(word) if fault else map_component(word, inverse)
 
     return faulty
 
@@ -276,7 +276,7 @@ _SWAPPED = {"UFFD": "UUFDD", "UUFDD": "UFFD"}
 
 def _swapped_preimages(q):
     """The inverse map, but with the preimages of two one-component B words swapped."""
-    return map_word(_SWAPPED.get(q, q), True)
+    return map_component(_SWAPPED.get(q, q), True)
 
 
 def _last_b_extended(n, enumerate_b=class_b_words):
@@ -308,19 +308,19 @@ def _last_b_extended(n, enumerate_b=class_b_words):
             "class A enumeration holds U, not in A_1", id="off-ground",
         ),
         pytest.param(
-            "map_word", _faulty(forward=lambda w: map_word(w) + "UD"), 1,
+            "map_component", _faulty(forward=lambda w: map_word(w) + "UD"), 1,
             "size changed: DU -> FUD", id="size",
         ),
         pytest.param(
-            "map_word", _faulty(forward=lambda w: "F" * _size(w)), 2,
+            "map_component", _faulty(forward=lambda w: "F" * _size(w)), 2,
             "component sizes changed: UUDD -> FF", id="component-sizes",
         ),
         pytest.param(
-            "map_word", _faulty(forward=lambda w: "F" * _size(w)), 1,
+            "map_component", _faulty(forward=lambda w: "F" * _size(w)), 1,
             "peak structure wrong: UD -> F", id="peaks",
         ),
         pytest.param(
-            "map_word", _faulty(backward=lambda w: "DU" * _size(w)), 1,
+            "map_component", _faulty(backward=lambda w: "DU" * _size(w)), 1,
             "inverse roundtrip failed for UD", id="inverse-roundtrip",
         ),
         pytest.param(
@@ -328,7 +328,7 @@ def _last_b_extended(n, enumerate_b=class_b_words):
             "class B enumeration holds UDF, not in B_1", id="outside-class-b",
         ),
         pytest.param(
-            "map_word", _faulty(backward=_swapped_preimages), 3,
+            "map_component", _faulty(backward=_swapped_preimages), 3,
             "inverse roundtrip failed for DDDUUU", id="swapped-preimages",
         ),
         pytest.param(
@@ -361,7 +361,9 @@ def test_verify_orders_the_premises_of_both_classes(capsys, monkeypatch):
 
 
 def test_verify_reports_a_map_that_raises(capsys, monkeypatch):
-    monkeypatch.setattr(pathbij.cli, "map_word", _faulty(forward=lambda w: map_word(w)[::-1]))
+    monkeypatch.setattr(
+        pathbij.cli, "map_component", _faulty(forward=lambda w: map_word(w)[::-1])
+    )
     code, out, err = run(["verify", "--max-size", "3"], capsys)
     assert code == 1
     assert err == ""
@@ -435,6 +437,86 @@ def test_verify_checks_the_size_of_each_class_a_word(capsys, monkeypatch):
         "n=3: |A|=21 |B|=21 bijection FAILED",
         "  class A enumeration holds UUFDDUD, not in A_3",
     ]
+
+
+def _scan_per_word(name, words, n, count, member):
+    """``cli._scan`` one word at a time: its members, then its count, sorted, outside messages."""
+    members, length, in_order, outside, last = [], 0, True, None, None
+    for length, w in enumerate(words, 1):
+        in_order = in_order and (last is None or last < w)
+        last = w
+        hs = step_heights(w)
+        if _size(w) != n or not member(w, hs):
+            outside = w if outside is None else outside
+        elif hs.count(0) == 2:
+            members.append(w)
+    return members, (
+        f"count {name} {count} != enumeration {length}" if count != length else "",
+        "" if in_order else f"class {name} enumeration is not strictly sorted",
+        "" if outside is None else f"class {name} enumeration holds {outside}, not in {name}_{n}",
+    )
+
+
+_SCAN_CLASSES = {"A": (class_a_words, class_a_word), "B": (class_b_words, class_b_word)}
+# A word of size n, ending on ground, outside each class: a flat at height 1 in A, and
+# a component with two peaks in B.
+_OUTSIDE = {"A": lambda n: "UFD" + "UD" * (n - 2), "B": lambda n: "UUDUDD" + "UD" * (n - 3)}
+
+
+# Each fault: the words it puts at positions i, i + 1, ..., given the words there.
+_SCAN_FAULTS = {
+    "outside": lambda name, n, ws: [_OUTSIDE[name](n)],
+    "off-ground": lambda name, n, ws: [ws[0] + "D"],
+    # Each ends off ground, but joined they end on ground, and the join is in A and in B.
+    "off-ground-pair": lambda name, n, ws: ["UU" + "F" * (n - 1), "F" * (n - 1) + "DD"],
+    "size": lambda name, n, ws: [ws[0] + "UD"],
+    "unsorted": lambda name, n, ws: [ws[1], ws[0]],
+}
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+@pytest.mark.parametrize("n,chunk", [(3, 8), (4, 8), (5, 16), (6, None)], ids=str)
+def test_scan_chunks_agree_with_the_per_word_loop(name, n, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(pathbij.cli, "_SCAN_CHUNK", chunk)
+    chunk = pathbij.cli._SCAN_CHUNK
+    enumerate_words, member = _SCAN_CLASSES[name]
+    clean = list(enumerate_words(n))
+    assert len(clean) > chunk + 1
+    heights_calls = []
+
+    def counted_heights(steps):
+        heights_calls.append(steps)
+        return step_heights(steps)
+
+    monkeypatch.setattr(pathbij.cli, "step_heights", counted_heights)
+
+    def check(words, count, failing=()):
+        heights_calls.clear()
+        premises = []
+        members = list(pathbij.cli._scan(name, words, n, count, member, premises))
+        assert (members, premises[0]) == _scan_per_word(name, words, n, count, member)
+        # One joined profile per chunk, and one per word of each chunk that fails.
+        expected = []
+        for k in range(0, len(words), chunk):
+            c = words[k : k + chunk]
+            expected += ["".join(c), *(c if k // chunk in failing else ())]
+        assert heights_calls == expected
+
+    check(clean, len(clean))
+    check(clean[1:], len(clean))  # a count that differs from the enumeration
+    # The first word of a chunk, its middle, its last word and the first of the next.
+    for i in (0, chunk // 2, chunk - 1, chunk):
+        for fault, make in _SCAN_FAULTS.items():
+            new = make(name, n, clean[i : i + 2])
+            words = clean[:i] + new + clean[i + len(new) :]
+            failing = () if fault == "unsorted" else {(i + j) // chunk for j in range(len(new))}
+            check(words, len(clean), failing)
+    # Two words outside, in two chunks: the first one, by word order, is named.
+    words = clean[:]
+    words[1] += "D"
+    words[chunk + 1] = "D" + words[chunk + 1]
+    check(words, len(clean), (0, 1))
 
 
 def _count_enumerations(monkeypatch):
@@ -571,6 +653,14 @@ def _verify_peak(argv, capsys):
         tracemalloc.stop()
     assert code == 0
     return peak
+
+
+def test_verify_peak_memory_grows_slowly_with_the_size(capsys):
+    # The scan holds one chunk of words at a time, never a whole class.
+    _verify_peak(["verify", "--max-size", "1", "--census"], capsys)  # warm-up
+    seven = _verify_peak(["verify", "--max-size", "7", "--census"], capsys)
+    eight = _verify_peak(["verify", "--max-size", "8", "--census"], capsys)
+    assert eight <= 1.25 * seven
 
 
 def test_verify_census_adds_no_memory(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,22 @@ def test_counts_agree_at_scale():
 
 def test_recurrence_matches_both_dps():
     assert count_series(400) == count_class_a_series(400) == count_class_b_series(400)
+
+
+@pytest.mark.parametrize("dp", [count_class_a_series, count_class_b_series])
+def test_dp_keeps_only_live_columns(dp):
+    # Each column is released once read: the peak grows with the live columns' width,
+    # not with all 2n + 1 of them (about 4.5x per doubling of n when all are kept).
+    peaks = []
+    for n in (100, 200):
+        tracemalloc.start()
+        try:
+            series = dp(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert series == count_series(n)
+    assert peaks[1] <= 3 * peaks[0]
 
 
 def test_recurrence_refuses_an_inexact_division(monkeypatch):
