@@ -83,6 +83,16 @@ cmp "$tmp/unmap.trace" "$tmp/unmap.out"
 first="$(python -m pathbij.cli enumerate --class A --size 9 2> "$tmp/enumerate.err" | head -1)"
 test "$first" = DDDDDDDDDUUUUUUUUU
 if grep -q Traceback "$tmp/enumerate.err"; then exit 1; fi
+# Whole enumerate outputs, pinned by digest and line count.
+for pin in "A --size 8:f28e5b37de5aa99f46adbbdd43e1690203c6508555d2b41eeaffbc74cfd6dc4b:20626" \
+    "B --size 8:44fcdcb74938e04a21342fc5e826bcd3f0686d99b2639ba88cd877903d107d8c:20626" \
+    "A --size 7 --flat-line 1:3ad0127a8fffcad82fb6a0c45efc0b8959a203153e4c24aa8c0c7489a7f2d4dc:7514" \
+    "A --size 6 --flat-line -1:eed98ac4b53df8d1dfdc6a80e444fcab3d12a2fe241e5591adbd189a693bc06c:1812"; do
+  IFS=: read -r argv digest lines <<< "$pin"
+  python -m pathbij.cli enumerate --class $argv > "$tmp/enumerate.out"
+  test "$(sha256sum < "$tmp/enumerate.out")" = "$digest  -"
+  test "$(wc -l < "$tmp/enumerate.out")" = "$lines"
+done
 test "$(python -m pathbij.cli render --path UFD)" = "$(printf ' __\n/  \\')"
 python -m pathbij.cli verify --max-size 3 > /dev/null
 out="$(python -m pathbij.cli verify --max-size 9)"

@@ -49,6 +49,7 @@ from .permutations import count_avoiders, parse_patterns
 
 DEFAULT_VERIFY_SIZE = 8
 _SCAN_CHUNK = 256  # words per joined height profile in verify's scan; bounds its memory
+_PRINT_CHUNK = 4096  # words per write in enumerate
 
 
 def _size(text: str) -> int:
@@ -136,8 +137,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print("error: --flat-line applies to class A only", file=sys.stderr)
             return 2
         words = class_b_words(args.size)
-    for word in words:
-        print(word)
+    while chunk := list(islice(words, _PRINT_CHUNK)):
+        print("\n".join(chunk))  # one write per chunk: the bytes of one print per word
     return 0
 
 

@@ -1,12 +1,20 @@
 """Exhaustive enumerators and exact counters for the two path families.
 
-The class_*_words generators walk the step tree depth-first with children in
-D < F < U order, pruning any prefix that cannot return to ground within the
-remaining width, so the output is duplicate-free and ASCII-sorted by
-construction.  The count_class_*_series functions answer the same cardinality
-questions without enumeration: a column-by-column dynamic program over path
-prefixes with Python's native big integers.  One prefix table gives the
-counts for every size up to a bound, and the series returns them all.
+Each class is one step rule, ``moves(state, rem)``: the steps that may follow a
+prefix in ``state`` with ``rem`` half-units of width left and still return to
+ground, in D < F < U order (the state is the height for class A, and the height
+with two peak flags for class B).  One walker, ``_words``, serves both classes.
+It walks the step tree depth-first while more than _TAIL half-units are left,
+and then finishes each prefix with every tail of its (state, rem), in order,
+from a table that the same rule fills once per call.  Two words of one size are
+never prefixes of each other, so a prefix followed by its sorted tails, taken in
+D < F < U order of prefixes, is ASCII order: the output is duplicate-free and
+sorted by construction.
+
+The count_class_*_series functions answer the same cardinality questions
+without enumeration: a column-by-column dynamic program over path prefixes
+with Python's native big integers.  One prefix table gives the counts for
+every size up to a bound, and the series returns them all.
 
 ``count_series`` computes the common sequence of both classes in O(n)
 big-integer operations from an order-3 recurrence derived from the two
@@ -16,51 +24,84 @@ first-return decompositions; the dynamic programs are its oracles.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .paths import DOWN, FLAT, UP, step_heights
+
+_TAIL = 8  # half-units of width left at which the walk finishes each word from the tails
+
+
+def _tails(tails: dict, moves: Callable, state, rem: int) -> list[str]:
+    """Every completion of a prefix in ``state`` with ``rem`` half-units left, in order.
+
+    Filled into ``tails``, keyed by (state, rem), from the completions of each move's
+    next state.  A module function, not a closure over ``tails``: a self-recursive
+    closure would hold the table in a reference cycle until the garbage collector runs.
+    """
+    found = tails.get((state, rem))
+    if found is None:
+        found = [""] if rem == 0 else []
+        for step, nxt, width in moves(state, rem):
+            found += map(step.__add__, _tails(tails, moves, nxt, rem - width))
+        tails[(state, rem)] = found
+    return found
+
+
+def _words(start, width: int, moves: Callable) -> Iterator[str]:
+    """All words of ``width`` half-units from ``start`` under the step rule ``moves``.
+
+    ``moves(state, rem)`` lists the (step, next state, step width) children of a prefix in
+    D < F < U order, only those that can still end on ground.  Prefixes are walked
+    depth-first while more than _TAIL half-units are left; below that, each prefix is
+    finished by its list of tails, built once per (state, rem) in a table local to the call.
+    """
+    if width < 0:
+        raise ValueError("size must be nonnegative")
+    tails: dict = {}
+    stack = [("", start, width)]
+    while stack:
+        prefix, state, rem = stack.pop()
+        if rem <= _TAIL:
+            yield from map(prefix.__add__, _tails(tails, moves, state, rem))
+            continue
+        for step, nxt, w in reversed(moves(state, rem)):  # so that they pop in D < F < U order
+            stack.append((prefix + step, nxt, rem - w))
 
 
 def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
     """All size-n words of class A (every flatstep on y = flat_line), in ASCII order."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    # (prefix, height, unused width in half-units); a prefix at height h can
-    # still reach (2n, 0) iff |h| <= rem (parity works out automatically).
-    # Children are pushed in U, F, D order so that they pop in D < F < U order.
-    stack = [("", 0, 2 * n)]
-    while stack:
-        prefix, h, rem = stack.pop()
-        if rem == 0:
-            yield prefix
-            continue
-        if abs(h + 1) < rem:
-            stack.append((prefix + UP, h + 1, rem - 1))
-        if h == flat_line and abs(h) <= rem - 2:
-            stack.append((prefix + FLAT, h, rem - 2))
+
+    # A prefix at height h can still reach (2n, 0) iff |h| <= rem (parity works out).
+    def moves(h: int, rem: int) -> list:
+        found = []
         if abs(h - 1) < rem:
-            stack.append((prefix + DOWN, h - 1, rem - 1))
+            found.append((DOWN, h - 1, 1))
+        if h == flat_line and abs(h) <= rem - 2:
+            found.append((FLAT, h, 2))
+        if abs(h + 1) < rem:
+            found.append((UP, h + 1, 1))
+        return found
+
+    return _words(0, 2 * n, moves)
+
+
+def _b_moves(state: tuple[int, bool, bool], rem: int) -> list:
+    # peak_used tracks whether the open component already spent its peak;
+    # both flags reset when a step lands on ground (component boundary).
+    h, last_up, peak_used = state
+    found = []
+    if h >= 1 and not (last_up and peak_used):
+        found.append((DOWN, (h - 1, False, h > 1 and (peak_used or last_up)), 1))
+    if h <= rem - 2:
+        found.append((FLAT, (h, False, peak_used), 2))
+    if h + 1 < rem:
+        found.append((UP, (h + 1, True, peak_used), 1))
+    return found
 
 
 def class_b_words(n: int) -> Iterator[str]:
     """All size-n words of class B (at most one peak per component), in ASCII order."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    # peak_used tracks whether the open component already spent its peak;
-    # both flags reset when a step lands on ground (component boundary).
-    stack = [("", 0, 2 * n, False, False)]
-    while stack:
-        prefix, h, rem, last_up, peak_used = stack.pop()
-        if rem == 0:
-            yield prefix
-            continue
-        if h + 1 < rem:
-            stack.append((prefix + UP, h + 1, rem - 1, True, peak_used))
-        if h <= rem - 2:
-            stack.append((prefix + FLAT, h, rem - 2, False, peak_used))
-        if h >= 1 and not (last_up and peak_used):
-            peak_used = h > 1 and (peak_used or last_up)
-            stack.append((prefix + DOWN, h - 1, rem - 1, False, peak_used))
+    return _words((0, False, False), 2 * n, _b_moves)
 
 
 def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:

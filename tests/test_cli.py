@@ -574,6 +574,9 @@ def test_enumerate(capsys):
     assert out == "F\nUD\n"
     code, out, _ = run(["enumerate", "--class", "A", "--size", "0"], capsys)
     assert out == "\n"
+    # 5 026 words, more than one chunk: the chunked writes add and drop nothing.
+    code, out, _ = run(["enumerate", "--class", "B", "--size", "7"], capsys)
+    assert out == "".join(w + "\n" for w in class_b_words(7))
 
 
 def test_enumerate_flat_line(capsys):

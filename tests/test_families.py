@@ -1,8 +1,10 @@
+import gc
 import itertools
 import tracemalloc
 
 import pytest
 
+import pathbij.families
 from pathbij import (
     Census,
     Path,
@@ -14,7 +16,7 @@ from pathbij import (
     indec_census,
 )
 from pathbij.families import class_a_words, class_b_words
-from pathbij.paths import step_heights
+from pathbij.paths import DOWN, FLAT, UP, step_heights
 
 
 def brute_force(n, predicate):
@@ -28,6 +30,96 @@ def brute_force(n, predicate):
             if predicate(Path(s)):
                 found.append(s)
     return sorted(found)
+
+
+def ref_class_a_words(n, flat_line=2):
+    """The depth-first stack loop that preceded the walk with tails, one prefix per node."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    # (prefix, height, unused width in half-units); a prefix at height h can
+    # still reach (2n, 0) iff |h| <= rem (parity works out automatically).
+    # Children are pushed in U, F, D order so that they pop in D < F < U order.
+    stack = [("", 0, 2 * n)]
+    while stack:
+        prefix, h, rem = stack.pop()
+        if rem == 0:
+            yield prefix
+            continue
+        if abs(h + 1) < rem:
+            stack.append((prefix + UP, h + 1, rem - 1))
+        if h == flat_line and abs(h) <= rem - 2:
+            stack.append((prefix + FLAT, h, rem - 2))
+        if abs(h - 1) < rem:
+            stack.append((prefix + DOWN, h - 1, rem - 1))
+
+
+def ref_class_b_words(n):
+    """The depth-first stack loop that preceded the walk with tails, one prefix per node."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    # peak_used tracks whether the open component already spent its peak;
+    # both flags reset when a step lands on ground (component boundary).
+    stack = [("", 0, 2 * n, False, False)]
+    while stack:
+        prefix, h, rem, last_up, peak_used = stack.pop()
+        if rem == 0:
+            yield prefix
+            continue
+        if h + 1 < rem:
+            stack.append((prefix + UP, h + 1, rem - 1, True, peak_used))
+        if h <= rem - 2:
+            stack.append((prefix + FLAT, h, rem - 2, False, peak_used))
+        if h >= 1 and not (last_up and peak_used):
+            peak_used = h > 1 and (peak_used or last_up)
+            stack.append((prefix + DOWN, h - 1, rem - 1, False, peak_used))
+
+
+@pytest.mark.parametrize(
+    "fast,slow,n,args",
+    [(class_a_words, ref_class_a_words, n, ()) for n in range(10)]
+    + [(class_b_words, ref_class_b_words, n, ()) for n in range(10)]
+    + [
+        (class_a_words, ref_class_a_words, n, (k,))
+        for k in (-2, -1, 0, 1, 3, 4)
+        for n in range(8)
+    ],
+)
+def test_enumerators_match_the_stack_loops(fast, slow, n, args, monkeypatch):
+    # At the default _TAIL the brute-force tests above (n <= 4) never leave the table
+    # of tails: compare with the walk alone (0), the default, and the table alone (2n).
+    expected = list(slow(n, *args))
+    for tail in (0, pathbij.families._TAIL, 2 * n):
+        monkeypatch.setattr(pathbij.families, "_TAIL", tail)
+        assert list(fast(n, *args)) == expected, tail
+
+
+def test_tails_tables_are_freed_without_the_collector():
+    # The table of tails is local to each call and in no reference cycle, so it goes
+    # with the generator, not at the next collection.
+    def exhaust_then_close():
+        for _ in class_b_words(9):
+            pass
+        exhausted, peak = tracemalloc.get_traced_memory()
+        words = class_a_words(9)
+        next(words)
+        words.close()
+        del words
+        return exhausted, peak, tracemalloc.get_traced_memory()[0]
+
+    gc.disable()
+    try:
+        exhaust_then_close()  # warm-up: fills the free lists, which keep freed tuples
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            exhausted, peak, closed = exhaust_then_close()
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert exhausted - start <= 4096
+    assert peak - start <= 128_000
+    assert closed - start <= 4096
 
 
 @pytest.mark.parametrize("n", range(5))
