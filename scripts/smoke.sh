@@ -21,6 +21,9 @@ cmp "$tmp/verify.expected" "$tmp/verify.out"
 test "$(python -m pathbij.cli perms --n 9)" = 20626
 test "$(python -m pathbij.cli perms --n 8 --patterns 4321)" = 15767
 test "$(python -m pathbij.cli perms --n 9 --patterns 123)" = 4862
+# One length-5 pattern (three entries below the two largest), then mixed lengths.
+test "$(python -m pathbij.cli perms --n 9 --patterns 34512)" = 261808
+test "$(python -m pathbij.cli perms --n 9 --patterns 132,4231)" = 1025
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD)" = FUDUFDUUFUDDD
 test "$(python -m pathbij.cli unmap --path FUDUFDUUFUDDD)" = DUUDDDUUUUUDFDD
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD --trace | tail -1)" = FUDUFDUUFUDDD

@@ -6,14 +6,17 @@ tree, West 1995): an oracle deliberately independent of the path counters it
 cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites still live in
 the parent are tested, and below the root only against occurrences through the
 parent's newest entry: any other occurrence would already have killed the site
-the parent came from.
+the parent came from.  Where such an occurrence can sit depends on the values
+only through their order, so each call tabulates its positions once per
+length, newest entry's position and site, and tests a site by comparing values.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable, Sequence
+from operator import lt
+from typing import Callable, Iterable, Sequence
 
 from .paths import PathbijError
 
@@ -64,21 +67,40 @@ def contains_pattern(perm: Sequence[int], pat: Sequence[int]) -> bool:
     return any(rank_signature(sub) == target for sub in combinations(tuple(perm), k))
 
 
-def _completes(perm: Permutation, q: int, t: int, shapes: tuple[list, list]) -> bool:
-    # Does a new maximum at site t complete an occurrence that holds perm[q], the old maximum?
+def _table(k: int, q: int, t: int, shapes: tuple[list, list]) -> tuple:
+    # Positions of the other entries of each occurrence through k (at q) and a new
+    # maximum at t: one column per rank, in value order, grouped by rank count.
     right = q >= t
     if right:
-        segments = perm[:t], perm[t:q], perm[q + 1 :]
+        ranges = range(t), range(t, q), range(q + 1, k)
     else:
-        segments = perm[:q], perm[q + 1 : t], perm[t:]
-    for counts, chain in shapes[right]:
-        for a in combinations(segments[0], counts[0]):
-            for b in combinations(segments[1], counts[1]):
-                for c in combinations(segments[2], counts[2]):
-                    sub = a + b + c
-                    if all(sub[x] < sub[y] for x, y in chain):
-                        return True
-    return False
+        ranges = range(q), range(q + 1, t), range(t, k)
+    groups: dict[int, list] = {}
+    for counts, order in shapes[right]:
+        rows = [
+            a + b + c
+            for a in combinations(ranges[0], counts[0])
+            for b in combinations(ranges[1], counts[1])
+            for c in combinations(ranges[2], counts[2])
+        ]
+        if not rows:
+            continue
+        if len(order) < 2:
+            return ((),)  # no value order to break: every permutation completes one
+        cols = groups.setdefault(len(order), [[] for _ in order])
+        for col, x in zip(cols, order):
+            col += [row[x] for row in rows]
+    return tuple(groups.values())
+
+
+def _rises(get: Callable[[int], int], cols: Sequence[list]) -> bool:
+    # Do some row's values rise along the columns?
+    if not cols:
+        return True  # _table's mark for a site that every permutation kills
+    if len(cols) == 2:
+        return any(map(lt, map(get, cols[0]), map(get, cols[1])))
+    pairs = [map(lt, map(get, a), map(get, b)) for a, b in zip(cols, cols[1:])]
+    return any(map(all, zip(*pairs)))
 
 
 def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS) -> int:
@@ -113,14 +135,27 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
         lo, hi = sorted((i, j))
         rest = [v for v in p if v < n - 1]
         order = sorted(range(n - 2), key=rest.__getitem__)
-        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), tuple(zip(order, order[1:]))))
+        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), order))
+    # Per (k, q), each site's table; a site is dead when some row of its table rises
+    # in value.  The key does not name the patterns, so the tables live for one call.
+    tables: dict[tuple[int, int], list] = {}
     count = 0
     # An avoider of [k], where k sits in it, and its sites still to test for k + 1.
     stack = [((1,), 0, [0, 1])]
     while stack:
         perm, q, sites = stack.pop()
         k = len(perm)
-        live = [t for t in sites if not _completes(perm, q, t, shapes)]
+        get = perm.__getitem__
+        by_site = tables.get((k, q))
+        if by_site is None:
+            by_site = tables[k, q] = [_table(k, q, t, shapes) for t in range(k + 1)]
+        live = []
+        for t in sites:
+            for cols in by_site[t]:
+                if _rises(get, cols):
+                    break
+            else:
+                live.append(t)
         if k + 1 == m:
             count += len(live)
             continue

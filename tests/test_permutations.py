@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,7 @@ from pathbij import (
     parse_permutation,
     rank_signature,
 )
+from pathbij.permutations import MAX_EXHAUSTIVE
 
 
 def test_parse_permutation():
@@ -123,9 +126,13 @@ SCAN_CASES += [(m, ((1,), (3, 2, 4, 1))) for m in range(7)]
 SCAN_CASES += [(m, ((), (1, 2))) for m in range(7)]
 
 
+def _patterns_id(pats):
+    return ",".join("".join(map(str, p)) or "()" for p in pats) or "none"
+
+
 def _case_id(case):
     m, pats = case
-    return f"{m}-" + (",".join("".join(map(str, p)) or "()" for p in pats) or "none")
+    return f"{m}-{_patterns_id(pats)}"
 
 
 @pytest.mark.parametrize("m, patterns", SCAN_CASES, ids=map(_case_id, SCAN_CASES))
@@ -156,3 +163,110 @@ LITERATURE = {
 @pytest.mark.parametrize("pattern", LITERATURE, ids=lambda p: "".join(map(str, p)))
 def test_count_avoiders_matches_published_sequences(pattern):
     assert [count_avoiders(m, (pattern,)) for m in range(10)] == LITERATURE[pattern]
+
+
+# The walk as it was before the per-call position tables, kept verbatim as a slow
+# reference: one occurrence search per site, over slices of the permutation.
+def ref_completes(perm, q, t, shapes):
+    # Does a new maximum at site t complete an occurrence that holds perm[q], the old maximum?
+    right = q >= t
+    if right:
+        segments = perm[:t], perm[t:q], perm[q + 1 :]
+    else:
+        segments = perm[:q], perm[q + 1 : t], perm[t:]
+    for counts, chain in shapes[right]:
+        for a in itertools.combinations(segments[0], counts[0]):
+            for b in itertools.combinations(segments[1], counts[1]):
+                for c in itertools.combinations(segments[2], counts[2]):
+                    sub = a + b + c
+                    if all(sub[x] < sub[y] for x, y in chain):
+                        return True
+    return False
+
+
+def ref_count_avoiders(m, patterns=DEFAULT_PATTERNS):
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m > MAX_EXHAUSTIVE:
+        raise SizeTooLarge(f"m={m} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
+    pats = frozenset(rank_signature(p) for p in patterns)
+    if not pats:
+        return math.factorial(m)
+    # A pattern of k < 2 entries occurs in every permutation of k or more elements.
+    shortest = min(map(len, pats))
+    if shortest < 2:
+        return int(m < shortest)
+    if m <= 1:
+        return 1  # the walk below starts from the one avoider of [1]
+    # Why only occurrences through k are tested: see pathbij.permutations.
+    shapes = ([], [])
+    for p in pats:
+        n = len(p)
+        j, i = p.index(n), p.index(n - 1)
+        lo, hi = sorted((i, j))
+        rest = [v for v in p if v < n - 1]
+        order = sorted(range(n - 2), key=rest.__getitem__)
+        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), tuple(zip(order, order[1:]))))
+    count = 0
+    # An avoider of [k], where k sits in it, and its sites still to test for k + 1.
+    stack = [((1,), 0, [0, 1])]
+    while stack:
+        perm, q, sites = stack.pop()
+        k = len(perm)
+        live = [t for t in sites if not ref_completes(perm, q, t, shapes)]
+        if k + 1 == m:
+            count += len(live)
+            continue
+        for s in live:
+            # A site dead for a parent stays dead for every descendant; s splits in two.
+            child_sites = [t for t in live if t <= s] + [t + 1 for t in live if t >= s]
+            stack.append((perm[:s] + (k + 1,) + perm[s:], s, child_sites))
+    return count
+
+
+REFERENCE_SETS = list(dict.fromkeys([*SCAN_SETS, *LENGTH_FIVE_SETS, *((p,) for p in LITERATURE)]))
+
+
+@pytest.mark.parametrize("patterns", REFERENCE_SETS, ids=map(_patterns_id, REFERENCE_SETS))
+def test_count_avoiders_matches_the_occurrence_search(patterns):
+    for m in range(9):
+        assert count_avoiders(m, patterns) == ref_count_avoiders(m, patterns)
+
+
+def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
+    assert count_avoiders(9) == ref_count_avoiders(9) == 20626
+
+
+def test_position_tables_do_not_outlive_a_call():
+    # The pattern sets below tabulate other positions under the same (k, q) keys, so
+    # tables shared across calls would count the later sets wrongly.
+    sets = [DEFAULT_PATTERNS, MIXED_LENGTHS, LENGTH_FIVE_SETS[-1]]
+    expected = [
+        sum(
+            not any(contains_pattern(perm, pat) for pat in pats)
+            for perm in itertools.permutations(range(1, 8))
+        )
+        for pats in sets
+    ]
+    for order in (sets, sets[::-1]):
+        for pats in order:
+            assert count_avoiders(7, pats) == expected[sets.index(pats)], pats
+
+
+def test_position_tables_are_freed_without_the_collector():
+    # The tables are local to each call and in no reference cycle, so they go when
+    # the call returns, not at the next collection.
+    gc.disable()
+    try:
+        count_avoiders(8)  # warm-up: fills the free lists, which keep freed tuples
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert count_avoiders(8) == 5026
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert left - start <= 4096
+    assert peak - start <= 64_000
