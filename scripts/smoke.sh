@@ -114,6 +114,11 @@ rc=0
 err="$(python -m pathbij.cli oeis --bfile "$tmp/b_good.txt" --class B --max-size 13 --offset 1 2>&1 > /dev/null)" || rc=$?
 test "$rc" = 2
 test "$err" = "error: b_good.txt lacks indices 14..14"
+# A range far past the b-file: the cost follows the file's terms, not the range asked for.
+rc=0
+err="$(timeout 20 python -m pathbij.cli oeis --bfile "$tmp/b_good.txt" --class B --max-size 1000000000000 --offset 1 2>&1 > /dev/null)" || rc=$?
+test "$rc" = 2
+test "$err" = "error: b_good.txt lacks indices 14..1000000000001"
 printf '0 1\n1 2_0\n' > "$tmp/b_underscore.txt"
 rc=0
 err="$(python -m pathbij.cli oeis --bfile "$tmp/b_underscore.txt" --class A 2>&1 > /dev/null)" || rc=$?

@@ -41,6 +41,7 @@ from .paths import (
     DOWN,
     FLAT,
     MIRROR,
+    PEAK,
     UP,
     Path,
     PathbijError,
@@ -50,7 +51,6 @@ from .paths import (
     step_heights,
 )
 
-_PEAK = UP + DOWN
 _VALLEY = DOWN + UP
 _BARE: dict = {}  # the annotations of a value that carries none; shared, never mutated
 
@@ -72,8 +72,8 @@ class NotInClass(PathbijError):
 def _flatten(s: str, keep: int | None = None) -> str:
     """Flatten every peak of the step word ``s`` except the one with apex ``keep``."""
     if keep is None:
-        return s.replace(_PEAK, FLAT)
-    return s[: keep - 1].replace(_PEAK, FLAT) + _PEAK + s[keep + 1 :].replace(_PEAK, FLAT)
+        return s.replace(PEAK, FLAT)
+    return s[: keep - 1].replace(PEAK, FLAT) + PEAK + s[keep + 1 :].replace(PEAK, FLAT)
 
 
 # Stage kernels map (steps, annotations) to the next pair; the annotations
@@ -165,8 +165,8 @@ def _flatten_peaks(d: str, ann: dict) -> tuple[str, dict]:
 
 
 def _unflatten_flats(f: str, _: dict) -> tuple[str, dict]:
-    j = f.index(_PEAK)  # the U of the one peak _flatten_peaks kept
-    return f.replace(FLAT, _PEAK), {"w": j + 1 + f.count(FLAT, 0, j)}
+    j = f.index(PEAK)  # the U of the one peak _flatten_peaks kept
+    return f.replace(FLAT, PEAK), {"w": j + 1 + f.count(FLAT, 0, j)}
 
 
 # The above-ground pipeline between strip-ends and output, in forward order:
@@ -188,8 +188,8 @@ def _run(steps: str, inverse: bool) -> list[tuple[str, str, dict]]:
     values = [("input", steps, _BARE)]
     if not inverse and steps[0] == DOWN:  # below ground: mirror, flatten every peak
         out = _flatten(steps.translate(MIRROR))
-    elif inverse and _PEAK not in steps:  # peak-free: undo the below-ground move
-        out = steps.replace(FLAT, _PEAK).translate(MIRROR)
+    elif inverse and PEAK not in steps:  # peak-free: undo the below-ground move
+        out = steps.replace(FLAT, PEAK).translate(MIRROR)
     else:
         inner, ann = steps[1:-1], _BARE
         values.append(("strip-ends", inner, ann))

@@ -37,6 +37,7 @@ from .oeis import check_covered, compare_sequence, parse_bfile
 from .paths import (
     DOWN,
     FLAT,
+    PEAK,
     UP,
     PathbijError,
     class_a_word,
@@ -164,23 +165,19 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _size_of(word: str) -> int:
-    return word.count(UP) + word.count(FLAT)
-
-
-def _component_problems(c: str) -> list[str]:
-    """Problems of a class-A component (``check_size`` passes no other word): its image must
-    be one class-B component of its size, peak-free below ground and one-peaked above, and
-    map back."""
+def _component_problems(c: str, n: int) -> list[str]:
+    """Problems of a class-A component of size n (``check_size`` passes no other word): its
+    image must be one class-B component of size n, peak-free below ground and one-peaked
+    above, and map back."""
     problems = []
     try:
         q = map_component(c)
-        if _size_of(q) != _size_of(c):
+        if q.count(UP) + q.count(FLAT) != n:
             return [f"size changed: {c} -> {q}"]
         q_hs = step_heights(q)
         if q_hs[-1] != 0 or q_hs.count(0) != 2:
             return [f"component sizes changed: {c} -> {q}"]
-        if q.count(UP + DOWN) != (0 if c[0] == DOWN else 1):
+        if q.count(PEAK) != (0 if c[0] == DOWN else 1):
             problems.append(f"peak structure wrong: {c} -> {q}")
         if not class_b_word(q, q_hs):  # the inverse map's domain
             raise NotInClass(NotInClass.MESSAGES[True])
@@ -199,7 +196,8 @@ def _scan(
 
     The words are read _SCAN_CHUNK at a time (see ``check_size``).  Joined words that
     each end on ground keep their own heights, so their join is a member just when each
-    word is, and a word is one component when its next ground vertex is its end.
+    word is, and a word is one component when its next ground vertex is its end.  A chunk
+    that fails is re-tested one word at a time; a word that fails alone is outside.
     """
     words = iter(words)
     length, in_order, outside, last = 0, True, None, None
@@ -208,26 +206,25 @@ def _scan(
         in_order = in_order and (last is None or last < chunk[0])
         in_order = in_order and all(map(lt, chunk, chunk[1:]))
         last = chunk[-1]
-        joined = "".join(chunk)
-        hs = step_heights(joined)
-        lens = list(map(len, chunk))
-        ends = list(accumulate(lens))
-        # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
-        if (
-            not any(map(hs.__getitem__, ends))
-            and all(map(eq, map(add, lens, map(str.count, chunk, repeat(FLAT))), repeat(2 * n)))
-            and member(joined, hs)
-        ):
-            for w, s, e in zip(chunk, [0, *ends], ends):
-                if s < e and hs.index(0, s + 1) == e:  # nonempty, on ground only at its ends
-                    yield w
-            continue
-        for w in chunk:
-            hs = step_heights(w)
-            if _size_of(w) != n or not member(w, hs):
-                outside = w if outside is None else outside
-            elif hs.count(0) == 2:
-                yield w
+        tests = [chunk]  # the loop below also tests the one-word chunks a failing chunk adds
+        for part in tests:
+            joined = "".join(part)
+            hs = step_heights(joined)
+            lens = list(map(len, part))
+            ends = list(accumulate(lens))
+            # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
+            if (
+                not any(map(hs.__getitem__, ends))
+                and all(map(eq, map(add, lens, map(str.count, part, repeat(FLAT))), repeat(2 * n)))
+                and member(joined, hs)
+            ):
+                for w, s, e in zip(part, [0, *ends], ends):
+                    if s < e and hs.index(0, s + 1) == e:  # nonempty, on ground only at its ends
+                        yield w
+            elif part is chunk:
+                tests += ([w] for w in chunk)
+            elif outside is None:
+                outside = part[0]
     premises.append((
         f"count {name} {count} != enumeration {length}" if count != length else "",
         "" if in_order else f"class {name} enumeration is not strictly sorted",
@@ -251,20 +248,20 @@ def check_size(
     onto B_n.  One scan per class checks those premises, a chunk of words at a time, and
     tallies the census; ``census`` adds the comparison line.  A chunk's test is the
     per-word premises applied to the concatenation of its words, each of which must end on
-    ground; a chunk that fails it is checked again word by word, and only that per-word
-    loop names a word.
+    ground (as members do); a chunk that fails it is re-tested one word at a time by the
+    same test, and a word that fails alone is named.
     """
     problems = [f"smaller components failed: {len(failed)}, first {failed[0]}"] if failed else []
     kinds = [0, 0, 0, 0]  # the census: below_a, above_a, nopeak_b, onepeak_b
     premises: list[tuple[str, str, str]] = []  # per class: count, sorted and outside messages
     for p in _scan("A", class_a_words(n), n, count_a, class_a_word, premises):
-        found = _component_problems(p)
+        found = _component_problems(p, n)
         problems += found
         if found:
             failed.append(p)
         kinds[p[0] != DOWN] += 1
     for q in _scan("B", class_b_words(n), n, count_b, class_b_word, premises):
-        kinds[2 + (UP + DOWN in q)] += 1  # a peak is a UD factor
+        kinds[2 + (PEAK in q)] += 1
     problems = [m for pair in zip(*premises) for m in pair if m] + problems  # A, B by premise
     if census and n >= 1:
         c = Census(*kinds)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Iterator, NamedTuple
 
-from .paths import DOWN, FLAT, UP, step_heights
+from .paths import DOWN, FLAT, PEAK, UP, step_heights
 
 _TAIL = 8  # half-units of width left at which the walk finishes each word from the tails
 
@@ -207,5 +207,5 @@ def indec_census(n: int) -> Census:
     a = [p for p in class_a_words(n) if step_heights(p).count(0) == 2]
     b = [q for q in class_b_words(n) if step_heights(q).count(0) == 2]
     below = sum(p[0] == DOWN for p in a)
-    nopeak = sum(UP + DOWN not in q for q in b)  # a peak is a UD factor
+    nopeak = sum(PEAK not in q for q in b)
     return Census(below, len(a) - below, nopeak, len(b) - nopeak)

@@ -14,7 +14,8 @@ needs only the number of terms.
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from bisect import bisect_left
+from itertools import pairwise
 from typing import Sequence
 
 from .paths import PathbijError
@@ -69,13 +70,13 @@ def check_covered(
     entries: dict[int, int], start_index: int, count: int, source_name: str = "table"
 ) -> None:
     """Raise RangeNotCovered, naming each run of missing indices, unless entries hold
-    start_index .. start_index + count - 1."""
-    missing = [i for i in range(start_index, start_index + count) if i not in entries]
-    if missing:
-        # Runs of consecutive missing indices share a value of index - position.
-        runs = [[i for _, i in g] for _, g in groupby(enumerate(missing), lambda t: t[1] - t[0])]
-        spans = " and ".join(f"{run[0]}..{run[-1]}" for run in runs)
-        raise RangeNotCovered(f"{source_name} lacks indices {spans}")
+    start_index .. start_index + count - 1.  Walks the held indices, not the range."""
+    keys, stop = sorted(entries), start_index + count
+    # The held indices in range, fenced by the two indices just outside it: each gap is a run.
+    held = [start_index - 1, *keys[bisect_left(keys, start_index) : bisect_left(keys, stop)], stop]
+    spans = [f"{a + 1}..{b - 1}" for a, b in pairwise(held) if b - a > 1]
+    if spans:
+        raise RangeNotCovered(f"{source_name} lacks indices {' and '.join(spans)}")
 
 
 def compare_sequence(

@@ -28,6 +28,7 @@ _RISE = {UP: 1, FLAT: 0, DOWN: -1}
 # Byte -> its step's rise as a signed byte; every other byte -> 0x80, which no rise takes.
 _RISE_BYTES = bytes(_RISE.get(chr(b), -128) & 0xFF for b in range(256))
 
+PEAK = UP + DOWN  # a peak is a UD factor
 MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
 
 
@@ -127,9 +128,9 @@ def class_b_word(steps: str, heights: Sequence[int]) -> bool:
     if heights[-1] != 0 or min(heights) < 0:
         return False
     # Two peaks share a component unless a ground vertex lies between their apexes.
-    peak = steps.find(UP + DOWN)
+    peak = steps.find(PEAK)
     while peak >= 0:
-        after = steps.find(UP + DOWN, peak + 2)
+        after = steps.find(PEAK, peak + 2)
         if after >= 0:
             try:
                 heights.index(0, peak + 1, after + 1)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -517,6 +518,32 @@ def test_scan_chunks_agree_with_the_per_word_loop(name, n, chunk, monkeypatch):
     words[1] += "D"
     words[chunk + 1] = "D" + words[chunk + 1]
     check(words, len(clean), (0, 1))
+
+
+# Every U/F/D word of length <= 7: ending off ground, going below ground, of any size, or
+# of several components.
+_SHORT_WORDS = ["".join(t) for k in range(8) for t in itertools.product("UFD", repeat=k)]
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_scan_tests_a_single_word_as_the_per_word_loop(name, monkeypatch):
+    member = _SCAN_CLASSES[name][1]
+    heights_calls = []
+
+    def counted_heights(steps):
+        heights_calls.append(steps)
+        return step_heights(steps)
+
+    monkeypatch.setattr(pathbij.cli, "step_heights", counted_heights)
+    for n in range(5):
+        for w in _SHORT_WORDS:
+            heights_calls.clear()
+            premises = []
+            members = list(pathbij.cli._scan(name, [w], n, 1, member, premises))
+            expected = _scan_per_word(name, [w], n, 1, member)
+            assert (members, premises[0]) == expected, (w, n)
+            # The word's profile as a chunk, then once more alone if it fails.
+            assert heights_calls == ([w, w] if expected[1][2] else [w]), (w, n)
 
 
 def _count_enumerations(monkeypatch):

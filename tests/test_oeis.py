@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+from itertools import groupby
+
 import pytest
 
 from pathbij import (
@@ -95,3 +99,45 @@ def test_check_covered_needs_only_the_term_count():
     with pytest.raises(RangeNotCovered) as exc:
         check_covered({1: 2, 2: 6}, -1, 5)
     assert str(exc.value) == "table lacks indices -1..0 and 3..3"
+
+
+def ref_check_covered(entries, start_index, count, source_name="table"):
+    """The range-walking ``check_covered``: the reference for its messages."""
+    missing = [i for i in range(start_index, start_index + count) if i not in entries]
+    if missing:
+        # Runs of consecutive missing indices share a value of index - position.
+        runs = [[i for _, i in g] for _, g in groupby(enumerate(missing), lambda t: t[1] - t[0])]
+        spans = " and ".join(f"{run[0]}..{run[-1]}" for run in runs)
+        raise RangeNotCovered(f"{source_name} lacks indices {spans}")
+
+
+def _covered_message(check, entries, start_index, count):
+    try:
+        check(entries, start_index, count, "b.txt")
+    except RangeNotCovered as exc:
+        return str(exc)
+    return None
+
+
+def test_check_covered_agrees_with_the_range_walk():
+    rng = random.Random(7)
+    for _ in range(2000):
+        low = rng.randint(-20, 20)
+        density = rng.random()
+        entries = {k: k for k in range(low, low + 60) if rng.random() < density}
+        start_index, count = rng.randint(-30, 40), rng.randint(-5, 50)
+        assert _covered_message(check_covered, entries, start_index, count) == _covered_message(
+            ref_check_covered, entries, start_index, count
+        ), (sorted(entries), start_index, count)
+
+
+def test_check_covered_memory_follows_the_table_not_the_range():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeNotCovered) as exc:
+            check_covered({0: 1}, 0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "table lacks indices 1..999999"
+    assert peak <= 64 * 1024
