@@ -96,6 +96,11 @@ for pin in "A --size 8:f28e5b37de5aa99f46adbbdd43e1690203c6508555d2b41eeaffbc74c
   test "$(sha256sum < "$tmp/enumerate.out")" = "$digest  -"
   test "$(wc -l < "$tmp/enumerate.out")" = "$lines"
 done
+# Every help text, byte for byte, at a fixed width.
+help="$(for verb in "" enumerate count map unmap verify perms oeis render; do
+  COLUMNS=80 python -m pathbij.cli $verb --help
+done | sha256sum)"
+test "$help" = "1080f5dd19ee7cfb0b5647fa9a0e109b5bf2fa184178dd88bb7f4f0678d31f1e  -"
 test "$(python -m pathbij.cli render --path UFD)" = "$(printf ' __\n/  \\')"
 python -m pathbij.cli verify --max-size 3 > /dev/null
 out="$(python -m pathbij.cli verify --max-size 9)"

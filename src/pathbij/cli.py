@@ -10,6 +10,7 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pathlib
 import sys
@@ -64,7 +65,12 @@ def _size(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser, built on the first call and returned by every later one.
+
+    Callers must not mutate it.  Each verb's ``func`` default is its handler's name.
+    """
     parser = argparse.ArgumentParser(
         prog="pathbij",
         description="Enumerate, count, map, and cross-check the two path families.",
@@ -80,18 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="height of the line carrying all flatsteps (class A only, default 2)",
     )
-    p_enum.set_defaults(func=cmd_enumerate)
+    p_enum.set_defaults(func="cmd_enumerate")
 
     p_count = sub.add_parser("count", help="exact count of paths of one size")
     p_count.add_argument("--class", dest="cls", choices=["A", "B"], required=True)
     p_count.add_argument("--size", type=_size, required=True)
-    p_count.set_defaults(func=cmd_count)
+    p_count.set_defaults(func="cmd_count")
 
     for verb, direction in (("map", "forward"), ("unmap", "inverse")):
         p_map = sub.add_parser(verb, help=f"apply the {direction} bijection to a path")
         p_map.add_argument("--path", required=True)
         p_map.add_argument("--trace", action="store_true", help="print the pipeline stages")
-        p_map.set_defaults(func=cmd_map, inverse=(verb == "unmap"))
+        p_map.set_defaults(func="cmd_map", inverse=(verb == "unmap"))
 
     p_verify = sub.add_parser(
         "verify", help="exhaustively check the bijection and counters up to a size"
@@ -100,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--census", action="store_true", help="also cross-check the indecomposable census"
     )
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func="cmd_verify")
 
     p_perms = sub.add_parser("perms", help="count pattern-avoiding permutations exhaustively")
     p_perms.add_argument("--n", type=_size, required=True, help="number of elements")
@@ -109,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="3241,3421,4321",
         help="comma-separated digit patterns (default: 3241,3421,4321)",
     )
-    p_perms.set_defaults(func=cmd_perms)
+    p_perms.set_defaults(func="cmd_perms")
 
     p_oeis = sub.add_parser("oeis", help="compare computed counts against a b-file")
     p_oeis.add_argument("--bfile", required=True, help="path to a local OEIS b-file")
@@ -121,11 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="b-file index aligned with size 0 (default 0)",
     )
-    p_oeis.set_defaults(func=cmd_oeis)
+    p_oeis.set_defaults(func="cmd_oeis")
 
     p_render = sub.add_parser("render", help="print an ASCII picture of a path")
     p_render.add_argument("--path", required=True)
-    p_render.set_defaults(func=cmd_render)
+    p_render.set_defaults(func="cmd_render")
 
     return parser
 
@@ -323,8 +329,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb on argv and return its exit code.
+
+    The parser is built once per process; the verb's handler is looked up by name in this
+    module at each call, so a ``cmd_*`` rebound after the first call is the one that runs.
+    """
+    args = build_parser().parse_args(argv)
     # Exact counts and b-file values run past Python's default 4300-digit int/str limit
     # (count from n = 6860 on).  Lift it for the verb only, so in-process callers keep theirs.
     lift = hasattr(sys, "set_int_max_str_digits")  # absent before 3.10.7, and so is the limit
@@ -332,7 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except PathbijError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InverseDomainError) else 2

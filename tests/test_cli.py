@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import itertools
 import os
 import pathlib
@@ -60,6 +62,58 @@ def test_help_lists_map_and_unmap(capsys, monkeypatch):
             "  --path PATH\n"
             "  --trace      print the pipeline stages\n"
         )
+
+
+def test_handlers_rebound_after_the_first_call_are_the_ones_that_run(capsys, monkeypatch):
+    assert main(["count", "--class", "A", "--size", "3"]) == 0  # the parser exists from here on
+    capsys.readouterr()
+    seen = []
+
+    def recorder(args):
+        seen.append(args)
+        return 7
+
+    monkeypatch.setattr(pathbij.cli, "cmd_count", recorder)
+    assert main(["count", "--class", "A", "--size", "3"]) == 7
+    assert [args.size for args in seen] == [3]
+    seen.clear()
+    monkeypatch.setattr(pathbij.cli, "cmd_map", recorder)  # one handler serves both verbs
+    assert main(["map", "--path", "UD"]) == 7
+    assert main(["unmap", "--path", "UD"]) == 7
+    assert [args.inverse for args in seen] == [False, True]
+    assert capsys.readouterr() == ("", "")
+
+
+def test_the_parser_is_built_once_and_help_follows_the_width_at_print_time(capsys, monkeypatch):
+    main(["count", "--class", "A", "--size", "1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", spy)
+        main(["count", "--class", "A", "--size", "2"])
+        main(["perms", "--n", "3"])
+    assert built == []
+    pathbij.cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "30")
+    main(["count", "--class", "A", "--size", "1"])  # builds the parser at width 30
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    text = ""
+    for verb in ([], ["enumerate"], ["count"], ["map"], ["unmap"], ["verify"], ["perms"],
+                 ["oeis"], ["render"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--help"])
+        assert exc.value.code == 0
+        text += capsys.readouterr().out
+    # The digest of the same help printed by fresh processes; scripts/smoke.sh checks it too.
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1080f5dd19ee7cfb0b5647fa9a0e109b5bf2fa184178dd88bb7f4f0678d31f1e"
+    )
 
 
 def test_map_trace_single_component(capsys):
