@@ -83,6 +83,16 @@ DUUDDDUUUUUDFDD
 EOF
 python -m pathbij.cli unmap --path FUDUFDUUFUDDD --trace > "$tmp/unmap.out"
 cmp "$tmp/unmap.trace" "$tmp/unmap.out"
+# Several flatsteps in one stripped-word component: component 2 of this path flips 6
+# components in 2 runs.  Both traces, pinned by digest and line count.
+multi=DUUUFUDFFDUFFDDUDDUUUFFUUDDFDD
+for pin in "map --path $multi:59d9c7bb1992192d0b4a4424b70780e395110c6fb925d6a4394f74e174866436:31" \
+    "unmap --path FUUFFUFDFUDFDDUDFUUUFUDFFDDD:08fd8365a2300f119b2871bf31465e37701f2ea3e5e09c971cb2bd11ad6c080d:31"; do
+  IFS=: read -r argv digest lines <<< "$pin"
+  python -m pathbij.cli $argv --trace > "$tmp/trace.out"
+  test "$(sha256sum < "$tmp/trace.out")" = "$digest  -"
+  test "$(wc -l < "$tmp/trace.out")" = "$lines"
+done
 first="$(python -m pathbij.cli enumerate --class A --size 9 2> "$tmp/enumerate.err" | head -1)"
 test "$first" = DDDDDDDDDUUUUUUUUU
 if grep -q Traceback "$tmp/enumerate.err"; then exit 1; fi

@@ -33,6 +33,7 @@ exhaustively.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from operator import add
 from typing import Callable, NamedTuple
@@ -108,14 +109,24 @@ def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
     # from s, so the flipped components are exactly g's below-ground ones: v1,
     # g's leftmost lowest vertex, is the leftmost vertex where s is highest
     # within them, and v2, g's last upstep to ground, ends the last one.
-    hs, mirrored, parts, v1, v2 = step_heights(s), s.translate(MIRROR), [], 0, 0
-    for start in (0, *sorted(ann["marks"])):
+    # Flipped components come in runs; with each mark raised to 1, a run ends
+    # at the next vertex at 0, and the next run starts at the next mark.
+    hs, marks = step_heights(s), sorted(ann["marks"])
+    for m in marks:
+        hs[m] = 1
+    mirrored, parts, v1, v2, start, i = s.translate(MIRROR), [], 0, 0, 0, 0
+    while True:
         end = hs.index(0, start + 1)
         parts += (s[v2:start], mirrored[start:end])
-        top = max(hs[start:end])
-        if top > hs[v1]:
-            v1 = hs.index(top, start)
+        if end - start > 2 * hs[v1]:  # a run of 2h steps rises at most h
+            top = max(hs[start:end])
+            if top > hs[v1]:
+                v1 = hs.index(top, start + 1)  # from start + 1: a raised mark reads 1
         v2 = end
+        i = bisect_left(marks, end, i)
+        if i == len(marks):
+            break
+        start = marks[i]
     parts.append(s[v2:])
     return "".join(parts), {"v1": v1, "v2": v2}
 
@@ -126,20 +137,24 @@ def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
         raise InverseDomainError("expected a nonempty grand Dyck path")
     if g[0] != DOWN:
         raise InverseDomainError("first component must lie below ground")
-    # A below-ground component starts one vertex before the first height -1
-    # after the end of the previous one; mirror each back above ground.
-    mirrored, parts, starts, start, end = g.translate(MIRROR), [], [], 0, 0
-    while True:
+    # A run of below-ground components ends one vertex before the next vertex
+    # at 1, and the next run starts one vertex before the next vertex at -1;
+    # mirror each run back above ground.  Its ground vertices start its
+    # components, the marks.  The sentinels end both searches past the word.
+    n = len(g)
+    hs += (1, -1)
+    mirrored, parts, marks, start, end = g.translate(MIRROR), [], [], 0, 0
+    while start < n:
         parts.append(g[end:start])
-        end = hs.index(0, start + 1)
+        end = hs.index(1, start) - 1
         parts.append(mirrored[start:end])
-        starts.append(start)
-        try:
-            start = hs.index(-1, end) - 1
-        except ValueError:
-            break
+        m = start
+        while m < end:
+            marks.append(m)
+            m = hs.index(0, m + 1)
+        start = hs.index(-1, end) - 1
     parts.append(g[end:])
-    return "".join(parts), {"marks": frozenset(starts[1:])}
+    return "".join(parts), {"marks": frozenset(marks[1:])}
 
 
 def _interchange(g: str, ann: dict) -> tuple[str, dict]:
@@ -152,7 +167,9 @@ def _interchange(g: str, ann: dict) -> tuple[str, dict]:
 def _reverse_interchange(d: str, ann: dict) -> tuple[str, dict]:
     w = ann["w"]
     hs = step_heights(d)
-    if FLAT in d or hs[-1] != 0 or min(hs) < 0:
+    # Heights start at 0 and move by at most 1 a step, so d dips below ground
+    # exactly when some vertex is at -1.
+    if FLAT in d or hs[-1] != 0 or -1 in hs:
         raise InverseDomainError("expected a Dyck path")
     if not 1 <= w < len(d) or d[w - 1] != UP or d[w] != DOWN:
         raise InverseDomainError(f"vertex {w} is not a peak apex")

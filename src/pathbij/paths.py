@@ -125,7 +125,9 @@ def class_b_word(steps: str, heights: Sequence[int]) -> bool:
 
     ``heights`` are the word's vertex heights, as ``step_heights`` gives them.
     """
-    if heights[-1] != 0 or min(heights) < 0:
+    # Heights start at 0 and move by at most 1 a step, so the word goes below
+    # ground exactly when some vertex is at -1.
+    if heights[-1] != 0 or -1 in heights:
         return False
     # Two peaks share a component unless a ground vertex lies between their apexes.
     peak = steps.find(PEAK)

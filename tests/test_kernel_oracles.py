@@ -7,8 +7,9 @@ versions of the kernels in ``pathbij.bijection`` and the word functions in
 ``_flip_marked`` and ``_recover_marks``, one slice per mark for
 ``_contract_marks``, a slice copy per peak pair for ``class_b_word``, a
 zero count for ``split_components`` and a dict lookup per character for
-``step_heights``.  Every output and annotation must agree,
-on every component up to size 8 and on long seeded components.
+``step_heights``.  Every output and annotation must agree, on every
+component up to size 8, on runs of flipped components and on long seeded
+components.
 """
 
 import itertools
@@ -162,6 +163,53 @@ def test_expand_recover_contract_match_the_references_on_every_short_word(length
             for marks in itertools.combinations(vertices, k):
                 ann = {"marks": frozenset(marks)}
                 assert outcome(_contract_marks, word, ann) == outcome(ref_contract_marks, word, ann)
+
+
+def flipped_runs(s, marks):
+    """(start, end, components) of each maximal run of the components ``_flip_marked`` mirrors."""
+    runs = []
+    for start, part in ref_split_components(s, step_heights(s)):
+        if start == 0 or start in marks:
+            if runs and runs[-1][1] == start:
+                runs[-1] = (runs[-1][0], start + len(part), runs[-1][2] + 1)
+            else:
+                runs.append((start, start + len(part), 1))
+    return runs
+
+
+# Stripped words (a class-A component without its outer steps), with the runs of
+# flipped components their expanded words hold: (components per run, last run ends the word).
+RUN_CASES = [
+    ("U" + "F" * 150 + "D", [151], True),
+    ("U" + "FUUDD" * 120 + "FD", [122], True),
+    ("UFUUDDFD" + "UUDD" + "UD" + "UFFD" + "UUUDDD" + "UFUDFD" + "UD", [3, 2, 2], False),
+    ("UUDD" + "UFFD" + "UD" + "UFUUUDDDFD", [1, 2, 2], True),
+    ("UUUDDD" + "UFD" + "UUDD" + "UFD", [1, 1, 1], True),  # later runs too short to rise higher
+]
+
+
+@pytest.mark.parametrize("inner,sizes,last_ends_word", RUN_CASES)
+def test_flip_and_recover_match_the_references_on_runs(inner, sizes, last_ends_word):
+    s, ann = _expand_flats(inner, {})
+    runs = flipped_runs(s, ann["marks"])
+    assert [k for _, _, k in runs] == sizes
+    assert (runs[-1][1] == len(s)) is last_ends_word
+    g, g_ann = _flip_marked(s, ann)
+    assert (g, g_ann) == ref_flip_marked(s, ann)
+    assert _recover_marks(g, g_ann) == ref_recover_marks(g, g_ann) == (s, ann)
+
+
+def test_recover_marks_matches_the_reference_on_every_word_up_to_length_10():
+    # A grand Dyck word that ends with U ends below ground, so its last below-ground run
+    # reaches the end; one that ends with D has an above-ground component after that run.
+    last_steps = {"U": 0, "D": 0}
+    for length in range(11):
+        for word in map("".join, itertools.product("DFU", repeat=length)):
+            got = outcome(_recover_marks, word, {})
+            assert got == outcome(ref_recover_marks, word, {}), word
+            if type(got[0]) is str:
+                last_steps[word[-1]] += 1
+    assert last_steps["U"] and last_steps["D"]
 
 
 @pytest.mark.parametrize("length", range(9))
