@@ -24,6 +24,12 @@ test "$(python -m pathbij.cli perms --n 9 --patterns 123)" = 4862
 # One length-5 pattern (three entries below the two largest), then mixed lengths.
 test "$(python -m pathbij.cli perms --n 9 --patterns 34512)" = 261808
 test "$(python -m pathbij.cli perms --n 9 --patterns 132,4231)" = 1025
+# One pin per kind of site mask in the walk's tables: pair rows only (A022558,
+# Bóna), every site killed through the always-dead mask, and five-entry rows that
+# share one table with pair rows.
+test "$(python -m pathbij.cli perms --n 9 --patterns 1342)" = 91245
+test "$(python -m pathbij.cli perms --n 9 --patterns 21)" = 1
+test "$(python -m pathbij.cli perms --n 9 --patterns 12345,2143)" = 60470
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD)" = FUDUFDUUFUDDD
 test "$(python -m pathbij.cli unmap --path FUDUFDUUFUDDD)" = DUUDDDUUUUUDFDD
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD --trace | tail -1)" = FUDUFDUUFUDDD

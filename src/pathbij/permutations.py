@@ -7,15 +7,17 @@ cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites still live in
 the parent are tested, and below the root only against occurrences through the
 parent's newest entry: any other occurrence would already have killed the site
 the parent came from.  Where such an occurrence can sit depends on the values
-only through their order, so each call tabulates its positions once per
-length, newest entry's position and site, and tests a site by comparing values.
+only through their order: per length and newest entry's position, each call
+maps each pair of positions to the bitmask of sites a rise there kills, and
+tests all of a node's sites in one pass of comparisons.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from operator import lt
+from functools import reduce
+from itertools import combinations, compress
+from operator import lt, or_
 from typing import Callable, Iterable, Sequence
 
 from .paths import PathbijError
@@ -67,40 +69,53 @@ def contains_pattern(perm: Sequence[int], pat: Sequence[int]) -> bool:
     return any(rank_signature(sub) == target for sub in combinations(tuple(perm), k))
 
 
-def _table(k: int, q: int, t: int, shapes: tuple[list, list]) -> tuple:
-    # Positions of the other entries of each occurrence through k (at q) and a new
-    # maximum at t: one column per rank, in value order, grouped by rank count.
-    right = q >= t
-    if right:
-        ranges = range(t), range(t, q), range(q + 1, k)
-    else:
-        ranges = range(q), range(q + 1, t), range(t, k)
-    groups: dict[int, list] = {}
-    for counts, order in shapes[right]:
-        rows = [
-            a + b + c
-            for a in combinations(ranges[0], counts[0])
-            for b in combinations(ranges[1], counts[1])
-            for c in combinations(ranges[2], counts[2])
-        ]
-        if not rows:
-            continue
-        if len(order) < 2:
-            return ((),)  # no value order to break: every permutation completes one
-        cols = groups.setdefault(len(order), [[] for _ in order])
-        for col, x in zip(cols, order):
-            col += [row[x] for row in rows]
-    return tuple(groups.values())
+def _shapes(pats: Iterable[Permutation]) -> tuple[list, list]:
+    shapes: tuple[list, list] = ([], [])
+    for p in pats:
+        n = len(p)
+        j, i = p.index(n), p.index(n - 1)
+        lo, hi = sorted((i, j))
+        rest = [v for v in p if v < n - 1]
+        order = sorted(range(n - 2), key=rest.__getitem__)
+        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), order))
+    return shapes
 
 
-def _rises(get: Callable[[int], int], cols: Sequence[list]) -> bool:
-    # Do some row's values rise along the columns?
-    if not cols:
-        return True  # _table's mark for a site that every permutation kills
-    if len(cols) == 2:
-        return any(map(lt, map(get, cols[0]), map(get, cols[1])))
-    pairs = [map(lt, map(get, a), map(get, b)) for a, b in zip(cols, cols[1:])]
-    return any(map(all, zip(*pairs)))
+def _table(k: int, q: int, shapes: tuple[list, list]) -> tuple:
+    # Per site t, the positions of the other entries of each occurrence through k (at
+    # q) and a new maximum at t, in value order: a row, which kills t if its values rise.
+    # Pair rows map to site bitmasks; shorter ones kill t always; longer ones keep pairs.
+    pairs: dict[tuple[int, int], int] = {}
+    always, rows = 0, []
+    for t in range(k + 1):
+        right = q >= t
+        if right:
+            ranges = range(t), range(t, q), range(q + 1, k)
+        else:
+            ranges = range(q), range(q + 1, t), range(t, k)
+        for counts, order in shapes[right]:
+            for a in combinations(ranges[0], counts[0]):
+                for b in combinations(ranges[1], counts[1]):
+                    for c in combinations(ranges[2], counts[2]):
+                        row = tuple([(a + b + c)[x] for x in order])
+                        if len(row) < 2:
+                            always |= 1 << t  # no value order to break
+                        elif len(row) == 2:
+                            pairs[row] = pairs.get(row, 0) | 1 << t
+                        else:
+                            rows.append((1 << t, row[:-1], row[1:]))
+    return [a for a, _ in pairs], [b for _, b in pairs], list(pairs.values()), always, rows
+
+
+def _live(get: Callable[[int], int], table: tuple, sites: int) -> int:
+    # The sites of the bitmask `sites` at which no row of the table rises in value.
+    firsts, seconds, masks, always, rows = table
+    rises = compress(masks, map(lt, map(get, firsts), map(get, seconds)))
+    live = sites & ~(always | reduce(or_, rises, 0))
+    for bit, a, b in rows:
+        if live & bit and all(map(lt, map(get, a), map(get, b))):
+            live ^= bit
+    return live
 
 
 def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS) -> int:
@@ -125,42 +140,27 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     # was live (an occurrence without k + 1 lies in perm, an avoider).  In an
     # occurrence through both, k is the largest entry but one, so it plays each
     # pattern's second-largest entry, and the side of the new maximum it lies on
-    # picks the segments of perm the other entries come from.  Per pattern, keyed
-    # by that side: how many entries lie before, between and after the two
+    # picks the segments of perm the other entries come from.  Per pattern, keyed by
+    # that side, _shapes gives how many entries lie before, between and after the two
     # largest, and the value order of those entries.
-    shapes: tuple[list, list] = ([], [])
-    for p in pats:
-        n = len(p)
-        j, i = p.index(n), p.index(n - 1)
-        lo, hi = sorted((i, j))
-        rest = [v for v in p if v < n - 1]
-        order = sorted(range(n - 2), key=rest.__getitem__)
-        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), order))
-    # Per (k, q), each site's table; a site is dead when some row of its table rises
-    # in value.  The key does not name the patterns, so the tables live for one call.
-    tables: dict[tuple[int, int], list] = {}
+    shapes = _shapes(pats)
+    # One table per (k, q); its key does not name the patterns, so it lives for one call.
+    tables: dict[tuple[int, int], tuple] = {}
     count = 0
-    # An avoider of [k], where k sits in it, and its sites still to test for k + 1.
-    stack = [((1,), 0, [0, 1])]
+    # An avoider of [k], where k sits in it, and the bitmask of sites to test for k + 1.
+    stack = [((1,), 0, 0b11)]
     while stack:
         perm, q, sites = stack.pop()
         k = len(perm)
-        get = perm.__getitem__
-        by_site = tables.get((k, q))
-        if by_site is None:
-            by_site = tables[k, q] = [_table(k, q, t, shapes) for t in range(k + 1)]
-        live = []
-        for t in sites:
-            for cols in by_site[t]:
-                if _rises(get, cols):
-                    break
-            else:
-                live.append(t)
+        table = tables.get((k, q)) or tables.setdefault((k, q), _table(k, q, shapes))
+        live = _live(perm.__getitem__, table, sites)
         if k + 1 == m:
-            count += len(live)
+            count += live.bit_count()
             continue
-        for s in live:
-            # A site dead for a parent stays dead for every descendant; s splits in two.
-            child_sites = [t for t in live if t <= s] + [t + 1 for t in live if t >= s]
-            stack.append((perm[:s] + (k + 1,) + perm[s:], s, child_sites))
+        for s in range(k + 1):
+            if live >> s & 1:
+                # Dead sites stay dead in every descendant; s splits in two, sites from s move up.
+                low = 1 << s
+                child_sites = (live & (2 * low - 1)) | ((live & -low) << 1)
+                stack.append((perm[:s] + (k + 1,) + perm[s:], s, child_sites))
     return count

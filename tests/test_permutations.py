@@ -16,7 +16,7 @@ from pathbij import (
     parse_permutation,
     rank_signature,
 )
-from pathbij.permutations import MAX_EXHAUSTIVE
+from pathbij.permutations import MAX_EXHAUSTIVE, _live, _shapes, _table
 
 
 def test_parse_permutation():
@@ -91,14 +91,14 @@ def test_count_avoiders_generic_lengths():
     assert count_avoiders(5, ((1, 2, 3), (3, 2, 1))) == 0
 
 
-def _random_pattern_sets(count):
-    """Distinct seeded sets of 0-3 patterns, each of length 1-4."""
-    rng = random.Random(3)
+def _random_pattern_sets(count, seed=3, sizes=(0, 3), lengths=(1, 4)):
+    """Distinct seeded sets of patterns, with sizes and lengths in the given inclusive ranges."""
+    rng = random.Random(seed)
     sets = {}
     while len(sets) < count:
         pats = []
-        for _ in range(rng.randint(0, 3)):
-            pat = list(range(1, rng.randint(1, 4) + 1))
+        for _ in range(rng.randint(*sizes)):
+            pat = list(range(1, rng.randint(*lengths) + 1))
             rng.shuffle(pat)
             pats.append(tuple(pat))
         sets.setdefault(frozenset(pats), tuple(pats))
@@ -184,6 +184,18 @@ def ref_completes(perm, q, t, shapes):
     return False
 
 
+def ref_shapes(pats):
+    shapes = ([], [])
+    for p in pats:
+        n = len(p)
+        j, i = p.index(n), p.index(n - 1)
+        lo, hi = sorted((i, j))
+        rest = [v for v in p if v < n - 1]
+        order = sorted(range(n - 2), key=rest.__getitem__)
+        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), tuple(zip(order, order[1:]))))
+    return shapes
+
+
 def ref_count_avoiders(m, patterns=DEFAULT_PATTERNS):
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -199,14 +211,7 @@ def ref_count_avoiders(m, patterns=DEFAULT_PATTERNS):
     if m <= 1:
         return 1  # the walk below starts from the one avoider of [1]
     # Why only occurrences through k are tested: see pathbij.permutations.
-    shapes = ([], [])
-    for p in pats:
-        n = len(p)
-        j, i = p.index(n), p.index(n - 1)
-        lo, hi = sorted((i, j))
-        rest = [v for v in p if v < n - 1]
-        order = sorted(range(n - 2), key=rest.__getitem__)
-        shapes[i > j].append(((lo, hi - lo - 1, n - 1 - hi), tuple(zip(order, order[1:]))))
+    shapes = ref_shapes(pats)
     count = 0
     # An avoider of [k], where k sits in it, and its sites still to test for k + 1.
     stack = [((1,), 0, [0, 1])]
@@ -229,6 +234,37 @@ REFERENCE_SETS = list(dict.fromkeys([*SCAN_SETS, *LENGTH_FIVE_SETS, *((p,) for p
 
 @pytest.mark.parametrize("patterns", REFERENCE_SETS, ids=map(_patterns_id, REFERENCE_SETS))
 def test_count_avoiders_matches_the_occurrence_search(patterns):
+    for m in range(9):
+        assert count_avoiders(m, patterns) == ref_count_avoiders(m, patterns)
+
+
+# The sets the walk runs on: no empty set and no pattern shorter than 2.
+WALKED_SETS = [pats for pats in REFERENCE_SETS if pats and min(map(len, pats)) >= 2]
+
+
+@pytest.mark.parametrize("patterns", WALKED_SETS, ids=map(_patterns_id, WALKED_SETS))
+def test_dead_sites_match_the_occurrence_search_node_by_node(patterns):
+    # At every avoider of [k], k <= 6, with k at q, the table marks site t dead exactly
+    # when a new maximum at t completes an occurrence through k: the pair masks, the
+    # always-dead mask and the longer rows, checked one node at a time.
+    pats = frozenset(rank_signature(p) for p in patterns)
+    shapes, chains = _shapes(pats), ref_shapes(pats)
+    for k in range(1, 7):
+        for perm in itertools.permutations(range(1, k + 1)):
+            if any(contains_pattern(perm, p) for p in pats):
+                continue
+            q = perm.index(k)
+            live = _live(perm.__getitem__, _table(k, q, shapes), (1 << (k + 1)) - 1)
+            for t in range(k + 1):
+                assert (not live >> t & 1) == ref_completes(perm, q, t, chains), (perm, t)
+
+
+MIXED_LENGTH_SETS = _random_pattern_sets(20, seed=11, sizes=(1, 3), lengths=(2, 5))
+
+
+@pytest.mark.parametrize("patterns", MIXED_LENGTH_SETS, ids=map(_patterns_id, MIXED_LENGTH_SETS))
+def test_count_avoiders_matches_the_occurrence_search_on_mixed_lengths(patterns):
+    # Pair rows, longer rows and sites that always die share one table here.
     for m in range(9):
         assert count_avoiders(m, patterns) == ref_count_avoiders(m, patterns)
 
