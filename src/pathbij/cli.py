@@ -47,7 +47,7 @@ from .paths import (
     render_ascii,
     step_heights,
 )
-from .permutations import count_avoiders, parse_patterns
+from .permutations import DEFAULT_PATTERNS, count_avoiders, parse_patterns
 
 DEFAULT_VERIFY_SIZE = 8
 _SCAN_CHUNK = 256  # words per joined height profile in verify's scan; bounds its memory
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perms.add_argument("--n", type=_size, required=True, help="number of elements")
     p_perms.add_argument(
         "--patterns",
-        default="3241,3421,4321",
-        help="comma-separated digit patterns (default: 3241,3421,4321)",
+        default=",".join("".join(map(str, p)) for p in DEFAULT_PATTERNS),
+        help="comma-separated digit patterns (default: %(default)s)",
     )
     p_perms.set_defaults(func="cmd_perms")
 
@@ -186,7 +186,7 @@ def _component_problems(c: str, n: int) -> list[str]:
         if q.count(PEAK) != (0 if c[0] == DOWN else 1):
             problems.append(f"peak structure wrong: {c} -> {q}")
         if not class_b_word(q, q_hs):  # the inverse map's domain
-            raise NotInClass(NotInClass.MESSAGES[True])
+            return problems + [f"error for {c}: {NotInClass.MESSAGES[True]}"]
         if map_component(q, True) != c:
             problems.append(f"inverse roundtrip failed for {c}")
     except PathbijError as exc:

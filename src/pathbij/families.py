@@ -13,8 +13,10 @@ sorted by construction.
 
 The count_class_*_series functions answer the same cardinality questions
 without enumeration: a column-by-column dynamic program over path prefixes
-with Python's native big integers.  One prefix table gives the counts for
-every size up to a bound, and the series returns them all.
+with Python's native big integers.  One walk, ``_series``, serves both
+classes with three live columns (a flatstep spans two), and each class
+supplies only its transitions.  It gives the counts for every size up to a
+bound, and the series returns them all.
 
 ``count_series`` computes the common sequence of both classes in O(n)
 big-integer operations from an order-3 recurrence derived from the two
@@ -104,52 +106,48 @@ def class_b_words(n: int) -> Iterator[str]:
     return _words((0, False, False), 2 * n, _b_moves)
 
 
-def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:
-    """Exact counts for every size 0..max_n from one DP pass over prefix width and height."""
+def _series(max_n: int, start, push: Callable) -> list[int]:
+    """The count of ``start`` at each even column of the DP whose transitions are ``push``."""
     if max_n < 0:
         raise ValueError("size must be nonnegative")
-    width = 2 * max_n
-    cols: list[dict[int, int]] = [defaultdict(int) for _ in range(width + 1)]
-    cols[0][0] = 1
+    col, nxt, after = {start: 1}, defaultdict(int), defaultdict(int)
     counts = []
-    for x in range(width):
-        rem = width - x
-        col, cols[x] = cols[x], None  # read only here: release it before its counts move on
-        if x % 2 == 0:
-            counts.append(col.get(0, 0))
+    for rem in range(2 * max_n, 0, -1):
+        if rem % 2 == 0:
+            counts.append(col.get(start, 0))
+        push(col, rem, nxt, after)
+        col, nxt, after = nxt, after, defaultdict(int)
+    return counts + [col.get(start, 0)]
+
+
+def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:
+    """Exact counts for every size 0..max_n from one DP pass over prefix width and height."""
+
+    def push(col: dict, rem: int, nxt: dict, after: dict) -> None:
         for h, c in col.items():
             if abs(h + 1) < rem:
-                cols[x + 1][h + 1] += c
+                nxt[h + 1] += c
             if abs(h - 1) < rem:
-                cols[x + 1][h - 1] += c
+                nxt[h - 1] += c
             if h == flat_line and abs(h) <= rem - 2:
-                cols[x + 2][h] += c
-    return counts + [cols[width].get(0, 0)]
+                after[h] += c
+
+    return _series(max_n, 0, push)
+
+
+def _b_push(col: dict, rem: int, nxt: dict, after: dict) -> None:
+    for (h, last_up, peak_used), c in col.items():
+        if h + 1 < rem:
+            nxt[(h + 1, True, peak_used)] += c
+        if h >= 1 and not (last_up and peak_used):
+            nxt[(0, False, False) if h == 1 else (h - 1, False, peak_used or last_up)] += c
+        if h <= rem - 2:
+            after[(h, False, peak_used)] += c
 
 
 def count_class_b_series(max_n: int) -> list[int]:
     """Exact counts for every size 0..max_n; DP state is (height, last step up, peak used)."""
-    if max_n < 0:
-        raise ValueError("size must be nonnegative")
-    width = 2 * max_n
-    start = (0, False, False)
-    cols: list[dict[tuple[int, bool, bool], int]] = [defaultdict(int) for _ in range(width + 1)]
-    cols[0][start] = 1
-    counts = []
-    for x in range(width):
-        rem = width - x
-        col, cols[x] = cols[x], None  # read only here: release it before its counts move on
-        if x % 2 == 0:
-            counts.append(col.get(start, 0))
-        for (h, last_up, peak_used), c in col.items():
-            if h + 1 < rem:
-                cols[x + 1][(h + 1, True, peak_used)] += c
-            if h >= 1 and not (last_up and peak_used):
-                nxt = start if h == 1 else (h - 1, False, peak_used or last_up)
-                cols[x + 1][nxt] += c
-            if h <= rem - 2:
-                cols[x + 2][(h, False, peak_used)] += c
-    return counts + [cols[width].get(start, 0)]
+    return _series(max_n, (0, False, False), _b_push)
 
 
 def count_series(max_n: int) -> list[int]:

@@ -50,15 +50,15 @@ def parse_bfile(text: str) -> dict[int, int]:
     entries: dict[int, int] = {}
     previous: int | None = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise MalformedLine(line_number, f"expected 2 fields, got {len(parts)}")
-        if not all(_INTEGER.fullmatch(part) for part in parts):
+        a, b = parts
+        if not (_INTEGER.fullmatch(a) and _INTEGER.fullmatch(b)):
             raise MalformedLine(line_number, "fields must be integers")
-        index, value = int(parts[0]), int(parts[1])
+        index, value = int(a), int(b)
         if previous is not None and index != previous + 1:
             raise NonContiguousIndex(line_number)
         entries[index] = value

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
+from collections import defaultdict
 
 import pytest
 
@@ -206,6 +208,23 @@ def test_dp_keeps_only_live_columns(dp):
             tracemalloc.stop()
         assert series == count_series(n)
     assert peaks[1] <= 3 * peaks[0]
+
+
+@pytest.mark.parametrize("dp", [count_class_a_series, count_class_b_series])
+def test_dp_holds_at_most_four_columns(dp, monkeypatch):
+    # Three columns are live (the one being read, the next and the one after it), and a
+    # fourth only while the walk moves on; all 2n + 1 of them are never held at once.
+    columns, alive = [], []
+
+    class Column(defaultdict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            columns.append(weakref.ref(self))
+            alive.append(sum(ref() is not None for ref in columns))
+
+    monkeypatch.setattr(pathbij.families, "defaultdict", Column)
+    assert dp(30) == count_series(30)
+    assert columns and max(alive) <= 4
 
 
 def test_recurrence_refuses_an_inexact_division(monkeypatch):
