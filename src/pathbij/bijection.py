@@ -82,6 +82,8 @@ def _flatten(s: str, keep: int | None = None) -> str:
 
 
 def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
+    if FLAT not in s:
+        return s, {"marks": frozenset()}
     # The k-th flatstep's valley starts k steps later than the flatstep did, so
     # its mark is the length of the pieces before it plus 2k + 1.
     pieces = s.split(FLAT)
@@ -91,6 +93,8 @@ def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
 
 
 def _contract_marks(s: str, ann: dict) -> tuple[str, dict]:
+    if not ann["marks"]:
+        return s, {}
     # Each valley around a mark becomes one flatstep.
     pieces, start = [], 0
     for m in sorted(ann["marks"]):

@@ -14,7 +14,7 @@ import functools
 import os
 import pathlib
 import sys
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, eq, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -171,13 +171,13 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _component_problems(c: str, n: int) -> list[str]:
-    """Problems of a class-A component of size n (``check_size`` passes no other word): its
-    image must be one class-B component of size n, peak-free below ground and one-peaked
-    above, and map back."""
+def _component_problems(c: str, n: int, q: str | None, back: str | None) -> list[str]:
+    """Problems of a class-A component c of size n (``check_size`` passes no other word): its
+    image q must be one class-B component of size n, peak-free below ground and one-peaked
+    above, and map back to c.  q and back (q's preimage) are made here when None."""
     problems = []
     try:
-        q = map_component(c)
+        q = map_component(c) if q is None else q
         if q.count(UP) + q.count(FLAT) != n:
             return [f"size changed: {c} -> {q}"]
         q_hs = step_heights(q)
@@ -187,11 +187,23 @@ def _component_problems(c: str, n: int) -> list[str]:
             problems.append(f"peak structure wrong: {c} -> {q}")
         if not class_b_word(q, q_hs):  # the inverse map's domain
             return problems + [f"error for {c}: {NotInClass.MESSAGES[True]}"]
-        if map_component(q, True) != c:
+        if (map_component(q, True) if back is None else back) != c:
             problems.append(f"inverse roundtrip failed for {c}")
     except PathbijError as exc:
         problems.append(f"error for {c}: {exc}")
     return problems
+
+
+def _joined_test(words: list[str], n: int, member: Callable[..., bool]) -> list[str] | None:
+    """The words that are one component, if each ends on ground and has size n and the join
+    is a member (just when each word is, as each keeps its heights in it); else None."""
+    joined, lens = "".join(words), list(map(len, words))
+    hs, ends = step_heights(joined), list(accumulate(lens))
+    # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
+    sized = all(map(eq, map(add, lens, map(str.count, words, repeat(FLAT))), repeat(2 * n)))
+    if any(map(hs.__getitem__, ends)) or not sized or not member(joined, hs):
+        return None
+    return [w for w, s, e in zip(words, [0, *ends], ends) if s < e and hs.index(0, s + 1) == e]
 
 
 def _scan(
@@ -200,10 +212,8 @@ def _scan(
     """Yield the one-component members of a class's size-n words; once they run out, append
     that class's count, sorted and outside messages to premises, each "" if it holds.
 
-    The words are read _SCAN_CHUNK at a time (see ``check_size``).  Joined words that
-    each end on ground keep their own heights, so their join is a member just when each
-    word is, and a word is one component when its next ground vertex is its end.  A chunk
-    that fails is re-tested one word at a time; a word that fails alone is outside.
+    The words are read and tested (``_joined_test``) _SCAN_CHUNK at a time; a chunk that
+    fails is re-tested one word at a time, and a word that fails alone is outside.
     """
     words = iter(words)
     length, in_order, outside, last = 0, True, None, None
@@ -214,19 +224,8 @@ def _scan(
         last = chunk[-1]
         tests = [chunk]  # the loop below also tests the one-word chunks a failing chunk adds
         for part in tests:
-            joined = "".join(part)
-            hs = step_heights(joined)
-            lens = list(map(len, part))
-            ends = list(accumulate(lens))
-            # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
-            if (
-                not any(map(hs.__getitem__, ends))
-                and all(map(eq, map(add, lens, map(str.count, part, repeat(FLAT))), repeat(2 * n)))
-                and member(joined, hs)
-            ):
-                for w, s, e in zip(part, [0, *ends], ends):
-                    if s < e and hs.index(0, s + 1) == e:  # nonempty, on ground only at its ends
-                        yield w
+            if (ones := _joined_test(part, n, member)) is not None:
+                yield from ones
             elif part is chunk:
                 tests += ([w] for w in chunk)
             elif outside is None:
@@ -251,26 +250,43 @@ def check_size(
     size, which holds c + UD*(n-k)).  As ``map_word`` joins the components' images
     (``map_component`` of each), it maps A_n into B_n with a left inverse, and
     |A_n| = count_a = count_b = |B_n| (``cmd_verify`` checks the middle equality) makes it
-    onto B_n.  One scan per class checks those premises, a chunk of words at a time, and
-    tallies the census; ``census`` adds the comparison line.  A chunk's test is the
-    per-word premises applied to the concatenation of its words, each of which must end on
-    ground (as members do); a chunk that fails it is re-tested one word at a time by the
-    same test, and a word that fails alone is named.
+    onto B_n.  One scan per class (``_scan``) checks those premises; the census is tallied
+    per chunk.  The A scan's indecomposables are checked _SCAN_CHUNK at a time, each mapped
+    once each way: their images pass ``_joined_test`` with ``class_b_word``, are one
+    component each, have a peak just when their words start with U, and map back.  Each
+    image must end on ground, so no heights or components leak between them: that is
+    exactly the conjunction of ``_component_problems`` over the chunk, which a failing
+    chunk goes to one component at a time with the maps made so far (one that raised is
+    made again), so no map that returned is made twice.
     """
     problems = [f"smaller components failed: {len(failed)}, first {failed[0]}"] if failed else []
-    kinds = [0, 0, 0, 0]  # the census: below_a, above_a, nopeak_b, onepeak_b
+    tally = [0, 0, 0, 0]  # per class: indecomposables, and how many have a peak (A: in the image)
     premises: list[tuple[str, str, str]] = []  # per class: count, sorted and outside messages
-    for p in _scan("A", class_a_words(n), n, count_a, class_a_word, premises):
-        found = _component_problems(p, n)
-        problems += found
-        if found:
-            failed.append(p)
-        kinds[p[0] != DOWN] += 1
-    for q in _scan("B", class_b_words(n), n, count_b, class_b_word, premises):
-        kinds[2 + (PEAK in q)] += 1
+    members = _scan("A", class_a_words(n), n, count_a, class_a_word, premises)
+    while chunk := list(islice(members, _SCAN_CHUNK)):
+        peaks = list(map(str.startswith, chunk, repeat(UP)))  # class-A words start with U or D
+        tally[0] += len(chunk)
+        tally[1] += sum(peaks)
+        images, backs = [], []
+        try:
+            images += map(map_component, chunk)  # += keeps the images made before a raise
+            ones = _joined_test(images, n, class_b_word)
+            if ones == images and list(map(str.count, images, repeat(PEAK))) == peaks:
+                backs += map(map_component, images, repeat(True))
+        except (PathbijError, KeyError):
+            pass  # a map that raised, or an image off U/F/D: checked again one by one below
+        if backs != chunk:
+            for c, q, back in zip_longest(chunk, images, backs):
+                if found := _component_problems(c, n, q, back):
+                    problems += found
+                    failed.append(c)
+    members = _scan("B", class_b_words(n), n, count_b, class_b_word, premises)
+    while chunk := list(islice(members, _SCAN_CHUNK)):
+        tally[2] += len(chunk)
+        tally[3] += sum(map(str.__contains__, chunk, repeat(PEAK)))
     problems = [m for pair in zip(*premises) for m in pair if m] + problems  # A, B by premise
     if census and n >= 1:
-        c = Census(*kinds)
+        c = Census(tally[0] - tally[1], tally[1], tally[2] - tally[3], tally[3])
         if c.below_a != c.nopeak_b or c.above_a != c.onepeak_b:
             problems.append(f"census mismatch: {c}")
     return problems

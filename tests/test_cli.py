@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import itertools
 import os
@@ -383,6 +384,11 @@ def _last_b_extended(n, enumerate_b=class_b_words):
             "class B enumeration holds UDF, not in B_1", id="outside-class-b",
         ),
         pytest.param(
+            # a character outside U/F/D in an image of the wrong size
+            "map_component", _faulty(forward=lambda w: "X"), 1,
+            "size changed: DU -> X", id="bad-character",
+        ),
+        pytest.param(
             "map_component", _faulty(backward=_swapped_preimages), 3,
             "inverse roundtrip failed for DDDUUU", id="swapped-preimages",
         ),
@@ -714,6 +720,113 @@ def test_verify_maps_each_distinct_component_once_per_run(capsys, monkeypatch):
     assert enumerated == {"class_a_words": list(range(6)), "class_b_words": list(range(6))}
     # Each indecomposable is checked at its own size only, one map each way.
     assert len(runs[False]) == len(runs[True]) == indecomposables
+
+
+def _faulty_run(component, inverse, fault):
+    """``bijection._run`` with ``fault(steps)`` as the output of one component in one direction,
+    recording each call's steps under its direction."""
+    real_run = pathbij.bijection._run
+    runs = {False: [], True: []}
+
+    def faulty_run(steps, inv):
+        runs[inv].append(steps)
+        if steps == component and inv == inverse:
+            return [("input", steps, {}), ("output", fault(steps), {})]
+        return real_run(steps, inv)
+
+    return faulty_run, runs
+
+
+def _raise(steps):
+    raise pathbij.bijection.InverseDomainError(f"refused {steps}")
+
+
+@pytest.mark.parametrize(
+    "inverse,fault,line,raising",
+    [
+        # The image fails the chunk's forward test, so it is never mapped back.
+        (False, lambda s: "FFF", "component sizes changed: UUFDD -> FFF", False),
+        # The images pass it, and the one that does not map back is named.
+        (True, lambda s: "DUDUDU", "inverse roundtrip failed for UUFDD", False),
+        # A map that raises is made again one component at a time, and raises again.
+        (False, _raise, "error for UUFDD: refused UUFDD", True),
+        (True, _raise, "error for UUFDD: refused UFUDD", True),
+    ],
+    ids=["forward", "inverse", "forward-raises", "inverse-raises"],
+)
+def test_verify_maps_each_distinct_component_once_per_failing_run(
+    inverse, fault, line, raising, capsys, monkeypatch
+):
+    # UUFDD maps to UFUDD; its chunk holds all 5 indecomposables of size 3.
+    faulty_run, runs = _faulty_run("UFUDD" if inverse else "UUFDD", inverse, fault)
+    monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
+    code, out, err = run(["verify", "--max-size", "5", "--census"], capsys)
+    assert (code, err) == (1, "")
+    assert "  " + line in out.splitlines()
+    forward, backward = collections.Counter(runs[False]), collections.Counter(runs[True])
+    assert (len(forward), len(backward)) == (73, 72 + inverse)
+    # No map is made twice, but for a map that raised: once in its chunk, once alone.
+    assert [s for s, k in forward.items() if k > 1] == ["UUFDD"] * (raising and not inverse)
+    assert [s for s, k in backward.items() if k > 1] == ["UFUDD"] * (raising and inverse)
+    assert {*forward.values(), *backward.values()} == {1, 1 + raising}
+
+
+@pytest.mark.parametrize(
+    "n,forward,backward,lines",
+    [
+        # Each image has a peak just when its component lies below ground.
+        (
+            1, {"DU": "UD", "UD": "F"}, {"UD": "DU", "F": "UD"},
+            ["n=1: |A|=2 |B|=2 bijection FAILED",
+             "  peak structure wrong: DU -> UD", "  peak structure wrong: UD -> F"],
+        ),
+        # A one-peaked class-B image of three components.
+        (
+            3, {"UUFDD": "UDFF"}, {"UDFF": "UUFDD"},
+            ["n=3: |A|=21 |B|=21 bijection FAILED", "  component sizes changed: UUFDD -> UDFF"],
+        ),
+    ],
+    ids=["peaks", "components"],
+)
+def test_verify_names_images_that_fail_only_one_test(
+    n, forward, backward, lines, capsys, monkeypatch
+):
+    # Each faulty image is in class B, of the right size, and maps back to its component.
+    faulty = _faulty(
+        forward=lambda w: forward.get(w) or map_component(w),
+        backward=lambda q: backward.get(q) or map_component(q, True),
+    )
+    monkeypatch.setattr(pathbij.cli, "map_component", faulty)
+    code, out, err = run(["verify", "--max-size", str(n), "--census"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[n:] == lines
+
+
+@pytest.mark.parametrize(
+    "inverse,fault,line",
+    [
+        (False, lambda s: "F" * 7, "component sizes changed: UUUUUUUDDDDDDD -> FFFFFFF"),
+        (True, lambda s: "D" * 7 + "U" * 7, "inverse roundtrip failed for UUUUUUUDDDDDDD"),
+    ],
+    ids=["forward", "inverse"],
+)
+def test_verify_names_a_faulty_component_in_the_last_chunk(
+    inverse, fault, line, capsys, monkeypatch
+):
+    sevens = [w for w in class_a_words(7) if step_heights(w).count(0) == 2]
+    last = sevens[-1]
+    assert (len(sevens), last) == (594, "UUUUUUUDDDDDDD")
+    assert (len(sevens) - 1) // pathbij.cli._SCAN_CHUNK == 2  # the third chunk
+    faulty_run, _ = _faulty_run(map_component(last) if inverse else last, inverse, fault)
+    monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
+    code, out, err = run(["verify", "--max-size", "8", "--census"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[7:] == [
+        "n=7: |A|=5026 |B|=5026 bijection FAILED",
+        "  " + line,
+        "n=8: |A|=20626 |B|=20626 bijection FAILED",
+        f"  smaller components failed: 1, first {last}",
+    ]
 
 
 def test_verify_peak_memory_is_small(capsys):

@@ -165,6 +165,18 @@ def test_expand_recover_contract_match_the_references_on_every_short_word(length
                 assert outcome(_contract_marks, word, ann) == outcome(ref_contract_marks, word, ann)
 
 
+@pytest.mark.parametrize("length", range(9))
+def test_expand_and_contract_match_the_references_with_no_flats_or_marks(length):
+    # The early returns: a flat-free word expands to itself with an empty frozenset of
+    # marks, and a word with no marks contracts to itself.
+    for word in map("".join, itertools.product("DU", repeat=length)):
+        expanded = _expand_flats(word, {})
+        assert expanded == ref_expand_flats(word, {}) == (word, {"marks": frozenset()})
+        assert type(expanded[1]["marks"]) is frozenset
+        ann = {"marks": frozenset()}
+        assert _contract_marks(word, ann) == ref_contract_marks(word, ann) == (word, {})
+
+
 def flipped_runs(s, marks):
     """(start, end, components) of each maximal run of the components ``_flip_marked`` mirrors."""
     runs = []
