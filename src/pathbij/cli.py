@@ -51,7 +51,7 @@ from .permutations import DEFAULT_PATTERNS, count_avoiders, parse_patterns
 
 DEFAULT_VERIFY_SIZE = 8
 _SCAN_CHUNK = 256  # words per joined height profile in verify's scan; bounds its memory
-_PRINT_CHUNK = 4096  # words per write in enumerate
+_PRINT_CHUNK = 4096  # lines per write in enumerate and oeis
 
 
 def _size(text: str) -> int:
@@ -332,9 +332,12 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     series = count_series(args.max_size)  # the same sequence for both classes
     matches = compare_sequence(series, entries, args.offset, bfile.name)
     ok = matches == len(series)
-    for i in range(matches if ok else matches + 1):
-        status = "ok" if i < matches else "MISMATCH"
-        print(f"n={i}: computed={series[i]} expected={entries[args.offset + i]} {status}")
+    for lo in range(0, matches, _PRINT_CHUNK):  # one write per chunk, same bytes as per line
+        same = map(str, series[lo : min(lo + _PRINT_CHUNK, matches)])  # equal to their entries
+        print("\n".join([f"n={i}: computed={v} expected={v} ok" for i, v in enumerate(same, lo)]))
+    if not ok:
+        got, want = series[matches], entries[args.offset + matches]
+        print(f"n={matches}: computed={got} expected={want} MISMATCH")
     print(f"MATCH {matches}/{matches}" if ok else f"MISMATCH at n={matches}")  # n is the size
     return 0 if ok else 1
 

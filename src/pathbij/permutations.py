@@ -8,8 +8,8 @@ the parent are tested, and below the root only against occurrences through the
 parent's newest entry: any other occurrence would already have killed the site
 the parent came from.  Where such an occurrence can sit depends on the values
 only through their order: per length and newest entry's position, each call
-maps each pair of positions to the bitmask of sites a rise there kills, and
-tests all of a node's sites in one pass of comparisons.
+builds each row of positions once, with the interval of sites a rise there
+kills, and tests all of a node's sites in one pass of comparisons.
 """
 
 from __future__ import annotations
@@ -82,28 +82,25 @@ def _shapes(pats: Iterable[Permutation]) -> tuple[list, list]:
 
 
 def _table(k: int, q: int, shapes: tuple[list, list]) -> tuple:
-    # Per site t, the positions of the other entries of each occurrence through k (at
-    # q) and a new maximum at t, in value order: a row, which kills t if its values rise.
-    # Pair rows map to site bitmasks; shorter ones kill t always; longer ones keep pairs.
-    pairs: dict[tuple[int, int], int] = {}
-    always, rows = 0, []
-    for t in range(k + 1):
-        right = q >= t
-        if right:
-            ranges = range(t), range(t, q), range(q + 1, k)
-        else:
-            ranges = range(q), range(q + 1, t), range(t, k)
+    # The positions of the other entries of an occurrence through k (at q) and a new maximum
+    # at site t, in value order: a row, which kills t if its values rise.  A row is built once,
+    # for the interval of sites t that have j of its positions s on t's side of k before t and
+    # n after (m more lie on k's other side).  Pair rows map to site bitmasks; shorter ones
+    # kill their sites always; longer ones keep pairs.
+    pairs, always, rows = {}, 0, []
+    for right, start, stop, other in ((True, 0, q, range(q + 1, k)), (False, q + 1, k, range(q))):
         for counts, order in shapes[right]:
-            for a in combinations(ranges[0], counts[0]):
-                for b in combinations(ranges[1], counts[1]):
-                    for c in combinations(ranges[2], counts[2]):
-                        row = tuple([(a + b + c)[x] for x in order])
-                        if len(row) < 2:
-                            always |= 1 << t  # no value order to break
-                        elif len(row) == 2:
-                            pairs[row] = pairs.get(row, 0) | 1 << t
-                        else:
-                            rows.append((1 << t, row[:-1], row[1:]))
+            j, n, m = counts if right else (counts[1], counts[2], counts[0])
+            for s in combinations(range(start, stop), j + n):
+                sites = (2 << (s[j] if n else stop)) - (1 << (s[j - 1] + 1 if j else start))
+                for o in combinations(other, m):
+                    row = tuple(map((s + o if right else o + s).__getitem__, order))
+                    if len(row) < 2:
+                        always |= sites  # no value order to break
+                    elif len(row) == 2:
+                        pairs[row] = pairs.get(row, 0) | sites
+                    else:
+                        rows.append((sites, row[:-1], row[1:]))
     return [a for a, _ in pairs], [b for _, b in pairs], list(pairs.values()), always, rows
 
 
@@ -112,9 +109,9 @@ def _live(get: Callable[[int], int], table: tuple, sites: int) -> int:
     firsts, seconds, masks, always, rows = table
     rises = compress(masks, map(lt, map(get, firsts), map(get, seconds)))
     live = sites & ~(always | reduce(or_, rises, 0))
-    for bit, a, b in rows:
-        if live & bit and all(map(lt, map(get, a), map(get, b))):
-            live ^= bit
+    for mask, a, b in rows:
+        if live & mask and all(map(lt, map(get, a), map(get, b))):
+            live &= ~mask
     return live
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -267,6 +268,76 @@ def test_count_avoiders_matches_the_occurrence_search_on_mixed_lengths(patterns)
     # Pair rows, longer rows and sites that always die share one table here.
     for m in range(9):
         assert count_avoiders(m, patterns) == ref_count_avoiders(m, patterns)
+
+
+# The position tables as they were built before each row was built once for its interval
+# of sites, kept verbatim as a slow reference: every row again for each site t.
+def ref_table(k: int, q: int, shapes: tuple[list, list]) -> tuple:
+    # Per site t, the positions of the other entries of each occurrence through k (at
+    # q) and a new maximum at t, in value order: a row, which kills t if its values rise.
+    # Pair rows map to site bitmasks; shorter ones kill t always; longer ones keep pairs.
+    pairs: dict[tuple[int, int], int] = {}
+    always, rows = 0, []
+    for t in range(k + 1):
+        right = q >= t
+        if right:
+            ranges = range(t), range(t, q), range(q + 1, k)
+        else:
+            ranges = range(q), range(q + 1, t), range(t, k)
+        for counts, order in shapes[right]:
+            for a in combinations(ranges[0], counts[0]):
+                for b in combinations(ranges[1], counts[1]):
+                    for c in combinations(ranges[2], counts[2]):
+                        row = tuple([(a + b + c)[x] for x in order])
+                        if len(row) < 2:
+                            always |= 1 << t  # no value order to break
+                        elif len(row) == 2:
+                            pairs[row] = pairs.get(row, 0) | 1 << t
+                        else:
+                            rows.append((1 << t, row[:-1], row[1:]))
+    return [a for a, _ in pairs], [b for _, b in pairs], list(pairs.values()), always, rows
+
+
+def _merged(table):
+    # A table as three maps: pair -> sites, the always-dead sites, longer row -> sites.
+    firsts, seconds, masks, always, rows = table
+    pairs, longer = {}, {}
+    for pair, sites in zip(zip(firsts, seconds), masks):
+        pairs[pair] = pairs.get(pair, 0) | sites
+    for sites, a, b in rows:
+        longer[a + b[-1:]] = longer.get(a + b[-1:], 0) | sites
+    return pairs, always, longer
+
+
+# Length-6 patterns give rows of four entries, which no set above has.
+LENGTH_SIX_SETS = _random_pattern_sets(6, seed=5, sizes=(1, 3), lengths=(6, 6))
+TABLE_SETS = [
+    pats
+    for pats in dict.fromkeys([*REFERENCE_SETS, *MIXED_LENGTH_SETS, *LENGTH_SIX_SETS])
+    if pats and min(map(len, pats)) >= 2
+]
+
+
+@pytest.mark.parametrize("patterns", TABLE_SETS, ids=map(_patterns_id, TABLE_SETS))
+def test_tables_match_the_per_site_construction(patterns):
+    shapes = _shapes(frozenset(rank_signature(p) for p in patterns))
+    for k in range(1, 9):
+        for q in range(k):
+            assert _merged(_table(k, q, shapes)) == _merged(ref_table(k, q, shapes)), (k, q)
+
+
+def test_length_six_sets_reach_four_entry_rows():
+    shapes = _shapes(frozenset(LENGTH_SIX_SETS[0]))
+    rows = [row for k in range(1, 9) for q in range(k) for row in _table(k, q, shapes)[4]]
+    assert any(len(a) == 3 for _, a, _ in rows)
+
+
+def test_a_rising_row_clears_its_whole_interval_and_revives_no_site():
+    # One three-entry row, positions 0 < 1 < 2, whose mask spans sites 1-3; site 2 is dead.
+    table = ([], [], [], 0, [(0b01110, (0, 1), (1, 2))])
+    assert _live((1, 2, 3, 4).__getitem__, table, 0b11011) == 0b10001
+    # Values that do not rise leave the live sites as they were.
+    assert _live((2, 1, 3, 4).__getitem__, table, 0b11011) == 0b11011
 
 
 def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
