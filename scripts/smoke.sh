@@ -172,8 +172,17 @@ done
 long="$(python -c 'import sys; sys.path.insert(0, "bench"); import longpaths; print(*longpaths.generate(7, 1, 50_000, 500))')"
 test "${#long}" -ge 50000
 image="$(python -m pathbij.cli map --path "$long")"
-test "$(python -m pathbij.cli map --path "$long" --trace | tail -1)" = "$image"
+python -m pathbij.cli map --path "$long" --trace > "$tmp/long.trace"
+test "$(tail -1 "$tmp/long.trace")" = "$image"
 test "$(python -m pathbij.cli unmap --path "$image")" = "$long"
+# Both whole traces of that path, pinned by digest and line count.
+python -m pathbij.cli unmap --path "$image" --trace > "$tmp/long.untrace"
+for pin in "long.trace:700c4ef8fc64b2d71d637d3c3b19e8d8f7a250417e054240c209cfb2918dd121:2751" \
+    "long.untrace:f23eccd12025ea119f6510c60bb28e9ce14a7140300a356b649779e8d126dfcc:2751"; do
+  IFS=: read -r name digest lines <<< "$pin"
+  test "$(sha256sum < "$tmp/$name")" = "$digest  -"
+  test "$(wc -l < "$tmp/$name")" = "$lines"
+done
 # A path of repeated components: its image repeats the components' images, the trace's
 # last line is that image, and unmap undoes it.
 rep="$(python -c 'print("UUFDD" * 3000 + "DDUU" * 3000 + "UUDUDD" * 1000)')"

@@ -20,15 +20,16 @@ its inverse in ``_ABOVE_STAGES``.  ``_run`` runs the table forwards or
 backwards on one component and returns the values the component passes
 through, the last of which is ``map_component``; ``map_word`` (under ``phi``
 and ``phi_inverse``) joins the ``map_component`` of each of its input's
-components, so a word's image is decided by its components', and
-``trace_components`` records the same step words as ``Stage``s.  Both map
-each distinct component once per call and reuse its values for its repeats,
-and both check class membership once, where the word enters.  The inverse
-kernels still re-test facts that membership implies for their input -- a Dyck
-or grand Dyck shape, a valley at each mark, a peak apex at w -- and raise
-``InverseDomainError`` when one fails; for genuine class members those checks
-never fire, which is exactly the reversibility claim the test suite verifies
-exhaustively.
+components, so a word's image is decided by its components'.
+``trace_components`` records the same step words as ``Stage``s (the record
+API), and ``trace_blocks`` formats them for ``map --trace`` with no ``Stage``.
+All three map each distinct component once per call and reuse its values for
+its repeats, and check class membership once, where the word enters.  The
+inverse kernels still re-test facts that membership implies for their input --
+a Dyck or grand Dyck shape, a valley at each mark, a peak apex at w -- and
+raise ``InverseDomainError`` when one fails; for genuine class members those
+checks never fire, which is exactly the reversibility claim the test suite
+verifies exhaustively.
 """
 
 from __future__ import annotations
@@ -238,14 +239,19 @@ class Stage(NamedTuple):
     w: int | None = None
 
     def line(self) -> str:
-        out = f"{self.label}: {self.path}".rstrip()
-        if self.marks:
-            out += " marks=" + ",".join(str(m) for m in sorted(self.marks))
-        if self.v1 is not None:
-            out += f" v1={self.v1} v2={self.v2}"
-        if self.w is not None:
-            out += f" w={self.w}"
-        return out
+        return _line(*self)
+
+
+def _line(label, path, marks=frozenset(), v1=None, v2=None, w=None) -> str:
+    """One trace line: a ``Stage``'s fields, or a ``_run`` value's label, steps and annotations."""
+    out = f"{label}: {path}".rstrip()
+    if marks:
+        out += " marks=" + ",".join(map(str, sorted(marks)))
+    if v1 is not None:
+        out += f" v1={v1} v2={v2}"
+    if w is not None:
+        out += f" w={w}"
+    return out
 
 
 def _components(steps: str, inverse: bool) -> list[str]:
@@ -307,3 +313,15 @@ def trace_components(p: Path, *, inverse: bool = False) -> tuple[tuple[Stage, ..
             _components(p.steps, inverse),
         )
     )
+
+
+def trace_blocks(p: Path, *, inverse: bool = False) -> list[tuple[str, str, str]]:
+    """``(component, its trace lines joined by newlines, its image)`` per component of p, in
+    order: ``map --trace``'s text, formatted from ``_run``'s values with no ``Stage``.
+    Checked as ``trace_components`` is; a component's repeats share its triple."""
+
+    def block(s: str) -> tuple[str, str, str]:
+        values = _run(s, inverse)
+        return s, "\n".join([_line(label, w, **ann) for label, w, ann in values]), values[-1][1]
+
+    return _each_once(block, _components(p.steps, inverse))

@@ -24,7 +24,7 @@ from .bijection import (
     map_component,
     phi,
     phi_inverse,
-    trace_components,
+    trace_blocks,
 )
 from .families import (
     Census,
@@ -160,14 +160,11 @@ def cmd_map(args: argparse.Namespace) -> int:
     if not args.trace:
         print((phi_inverse if args.inverse else phi)(p).steps)
         return 0
-    traces = trace_components(p, inverse=args.inverse)  # checks the input before anything prints
-    blocks: dict[int, str] = {}  # id(stages) -> its lines; repeated components share one tuple
-    for i, stages in enumerate(traces):
-        if id(stages) not in blocks:
-            blocks[id(stages)] = "\n".join(stage.line() for stage in stages)
-        head = f"component {i + 1}: {stages[0].path}\n" if len(traces) > 1 else ""
-        print(head + blocks[id(stages)])  # one print per component, never a copy of the whole trace
-    print("".join(stages[-1].path for stages in traces))
+    blocks = trace_blocks(p, inverse=args.inverse)  # checks the input before anything prints
+    for i, (component, lines, _) in enumerate(blocks):
+        head = f"component {i + 1}: {component}\n" if len(blocks) > 1 else ""
+        print(head + lines)  # one print per component, never a copy of the whole trace
+    print("".join(image for _, _, image in blocks))
     return 0
 
 

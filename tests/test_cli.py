@@ -1,6 +1,9 @@
 import argparse
 import collections
+import contextlib
 import hashlib
+import importlib.util
+import io
 import itertools
 import os
 import pathlib
@@ -10,15 +13,16 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import count_class_a_series, count_class_b_series, count_series
-from pathbij.bijection import map_component, map_word
+from pathbij.bijection import InverseDomainError, map_component, map_word, trace_components
 from pathbij.cli import main
 from pathbij.families import Census, class_a_words, class_b_words, indec_census
-from pathbij.paths import class_a_word, class_b_word, step_heights
+from pathbij.paths import PathbijError, class_a_word, class_b_word, parse_path, step_heights
 
 
 def run(argv, capsys):
@@ -221,6 +225,91 @@ def test_trace_checks_the_whole_path_before_printing(verb, path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: input is not a")
+
+
+LONGPATHS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "longpaths.py"
+
+
+def _longpath(seed):
+    """The first path of the seeded ``long-paths`` generator: 100 000 steps, 1 000 components."""
+    spec = importlib.util.spec_from_file_location("longpaths", LONGPATHS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(seed, 1, 100_000, 1000)[0]
+
+
+def ref_line(stage):
+    """The line of one ``Stage``, as ``Stage.line`` wrote it before it shared ``_line``."""
+    out = f"{stage.label}: {stage.path}".rstrip()
+    if stage.marks:
+        out += " marks=" + ",".join(str(m) for m in sorted(stage.marks))
+    if stage.v1 is not None:
+        out += f" v1={stage.v1} v2={stage.v2}"
+    if stage.w is not None:
+        out += f" w={stage.w}"
+    return out
+
+
+def ref_trace(path, inverse):
+    """The exit code and stdout of ``map --trace`` (``unmap`` if inverse), rendered from
+    ``trace_components``' records: per component an optional header and its stage lines,
+    then the image."""
+    try:
+        traces = trace_components(parse_path(path), inverse=inverse)
+    except InverseDomainError:
+        return 1, ""
+    except PathbijError:
+        return 2, ""
+    out = []
+    for i, stages in enumerate(traces):
+        if len(traces) > 1:
+            out.append(f"component {i + 1}: {stages[0].path}")
+        out += map(ref_line, stages)
+    out.append("".join(stages[-1].path for stages in traces))
+    return 0, "".join(line + "\n" for line in out)
+
+
+def _trace_bytes(path, capsys):
+    """Exit code and stdout of ``map --trace`` and of ``unmap --trace`` on path."""
+    return [run([verb, "--path", path, "--trace"], capsys)[:2] for verb in ("map", "unmap")]
+
+
+def test_trace_bytes_match_the_stage_renderer(capsys):
+    # Every word of both classes up to size 5 in both directions: the one in its class
+    # traces, the one outside it exits 2 with nothing printed.
+    for n in range(6):
+        for word in itertools.chain(class_a_words(n), class_b_words(n)):
+            assert _trace_bytes(word, capsys) == [ref_trace(word, False), ref_trace(word, True)]
+
+
+def test_trace_bytes_of_the_empty_path(capsys):
+    assert _trace_bytes("", capsys) == [(0, "\n"), (0, "\n")] == [
+        ref_trace("", False),
+        ref_trace("", True),
+    ]
+
+
+def test_trace_bytes_of_a_long_path_match_the_stage_renderer(capsys):
+    p = _longpath(7)
+    q = map_word(p)
+    code, out = run(["map", "--path", p, "--trace"], capsys)[:2]
+    assert (code, out) == ref_trace(p, False)
+    assert out.endswith(f"\n{q}\n")
+    assert run(["unmap", "--path", q, "--trace"], capsys)[:2] == ref_trace(q, True)
+
+
+def test_trace_verbs_build_no_stage(capsys, monkeypatch):
+    # Multi-flat, repeated, size-1 and empty inputs, each traced forwards and its image back.
+    paths = ["DUUDDDUUUUUDFDD", "DUUUFUDFFDUFFDDUDDUUUFFUUDDFDD", "DUUUFDDDUUUFDD", "UD", ""]
+    calls = [(verb, w) for p in paths for verb, w in (("map", p), ("unmap", map_word(p)))]
+    expected = [ref_trace(w, verb == "unmap") for verb, w in calls]
+    assert all(code == 0 for code, _ in expected)
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a Stage was built")
+
+    monkeypatch.setattr(pathbij.bijection, "Stage", no_stage)
+    assert [run([verb, "--path", w, "--trace"], capsys)[:2] for verb, w in calls] == expected
 
 
 def test_count(capsys):
@@ -1074,3 +1163,70 @@ def test_no_command_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+VERBS = ["enumerate", "count", "map", "unmap", "verify", "perms", "oeis", "render"]
+# Sizes up to 6, then texts that int() refuses, or reads as a size (" 3", "٣").
+size_texts = st.one_of(
+    st.integers(-2, 6).map(str), st.sampled_from(["", "x", "1.5", "0x3", " 3", "٣"])
+)
+small_members = [w for n in range(5) for w in itertools.chain(class_a_words(n), class_b_words(n))]
+path_texts = st.one_of(
+    st.sampled_from(small_members), st.text("UDF", max_size=24), st.text(max_size=8)
+)
+bfiles = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.tuples(st.integers(-1, 14), st.integers(-2, 400)), max_size=14).map(
+        lambda rows: "".join(f"{i} {v}\n" for i, v in rows).encode()
+    ),
+    st.just("".join(f"{i} {v}\n" for i, v in enumerate(count_series(13))).encode()),
+    st.none(),  # no file at all
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for one of the eight verbs, with small sizes, and the bytes of its b-file."""
+    verb = draw(st.sampled_from(VERBS))
+    cls = ["--class", draw(st.sampled_from(["A", "B", "C"]))]
+    if verb == "enumerate":
+        args = cls + ["--size", draw(size_texts)]
+        args += draw(st.sampled_from([[], ["--flat-line", str(draw(st.integers(-4, 4)))]]))
+    elif verb == "count":
+        args = cls + ["--size", draw(size_texts)]
+    elif verb == "render":
+        args = ["--path", draw(path_texts)]
+    elif verb in ("map", "unmap"):
+        args = ["--path", draw(path_texts)] + draw(st.sampled_from([[], ["--trace"]]))
+    elif verb == "verify":
+        args = ["--max-size", draw(size_texts)] + draw(st.sampled_from([[], ["--census"]]))
+    elif verb == "perms":
+        args = ["--n", str(draw(st.integers(-1, 7)))]
+        patterns = st.one_of(st.text("0123456789,", max_size=10), st.text(max_size=5))
+        args += draw(st.sampled_from([[], ["--patterns", draw(patterns)]]))
+    else:
+        args = cls + ["--max-size", draw(size_texts), "--offset", str(draw(st.integers(-3, 3)))]
+    return [verb, *args], draw(bfiles) if verb == "oeis" else None
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cli_calls())
+def test_every_verb_exits_zero_one_or_two_without_a_traceback(tmp_path, call):
+    argv, bfile = call
+    if argv[0] == "oeis":
+        path = tmp_path / "b.txt"
+        path.unlink(missing_ok=True)
+        if bfile is not None:
+            path.write_bytes(bfile)
+        argv += ["--bfile", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: help, or a usage error
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert code != 2 or err.getvalue()  # a usage or parse error says why
