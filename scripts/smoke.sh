@@ -7,7 +7,7 @@ export PYTHONPATH=src
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-python -m pathbij.cli count --class A --size 3000 > /dev/null
+test "$(python -m pathbij.cli count --class A --size 3000 | sha256sum)" = "a645449d07fa6937d98050244fb0b50b9e367449042341caadadbd7910ae3f8d  -"
 # Past Python's default 4300-digit int/str limit: the exact count, with no traceback.
 out="$(python -m pathbij.cli count --class A --size 7000 2> "$tmp/count.err")"
 test "${#out}" = 4388
@@ -129,9 +129,12 @@ test "$(printf '%s\n' "$out" | grep -c ' bijection OK$')" = 10
 terms="1 2 6 21 79 309 1237 5026 20626 85242 354080 1476368 6173634"
 i=1; for t in $terms; do echo "$i $t"; i=$((i + 1)); done > "$tmp/b_good.txt"
 sed 's/^6 309$/6 310/' "$tmp/b_good.txt" > "$tmp/b_bad.txt"
-# Both whole oeis reports, byte for byte, with their exit codes.
+# The good terms with a no-break space and a tab between the fields and CRLF line ends.
+i=1; for t in $terms; do printf '%s\302\240\t%s\r\n' "$i" "$t"; i=$((i + 1)); done > "$tmp/b_spaces.txt"
+# The whole oeis reports, byte for byte, with their exit codes.
 for pin in "good:0:4f80d35b0631f8187caeebee5aac94cc924959b0cd457728046909c651fd0a8a" \
-    "bad:1:28b0d9b2d2a8e8f1be27ddbc4f302f6e51d8431ab8a0c1cf20f8944c99bc92ad"; do
+    "bad:1:28b0d9b2d2a8e8f1be27ddbc4f302f6e51d8431ab8a0c1cf20f8944c99bc92ad" \
+    "spaces:0:4f80d35b0631f8187caeebee5aac94cc924959b0cd457728046909c651fd0a8a"; do
   IFS=: read -r name code digest <<< "$pin"
   rc=0
   python -m pathbij.cli oeis --bfile "$tmp/b_$name.txt" --class B --max-size 12 --offset 1 \
@@ -153,6 +156,11 @@ rc=0
 err="$(python -m pathbij.cli oeis --bfile "$tmp/b_underscore.txt" --class A 2>&1 > /dev/null)" || rc=$?
 test "$rc" = 2
 case "$err" in "error: malformed b-file line 2"*) ;; *) exit 1 ;; esac
+printf '0 1\n1 2 3\n' > "$tmp/b_three.txt"
+rc=0
+err="$(python -m pathbij.cli oeis --bfile "$tmp/b_three.txt" --class A 2>&1 > /dev/null)" || rc=$?
+test "$rc" = 2
+test "$err" = "error: malformed b-file line 2: expected 2 fields, got 3"
 rc=0
 python -m pathbij.cli perms --n 4 --patterns "$(printf '\331\243\331\242\331\244\331\241')" > /dev/null 2>&1 || rc=$?
 test "$rc" = 2

@@ -177,16 +177,15 @@ def count_series(max_n: int) -> list[int]:
     if max_n < 0:
         raise ValueError("size must be nonnegative")
     a = [1, 2, 6]
+    x, y, z = a  # a(n-3), a(n-2), a(n-1)
     for n in range(3, max_n + 1):
-        num = (
-            (8 * n * n + 50 * n - 18) * a[n - 1]
-            - (15 * n * n + 81 * n - 174) * a[n - 2]
-            - (4 * n * n + 22 * n - 42) * a[n - 3]
-        )
+        num = ((8 * n + 50) * n - 18) * z - ((15 * n + 81) * n - 174) * y
+        num -= ((4 * n + 22) * n - 42) * x
         term, rest = divmod(num, (n + 1) * (n + 6))
         if rest:
             raise ArithmeticError(f"the recurrence does not divide exactly at n={n}")
         a.append(term)
+        x, y, z = y, z, term
     return a[: max_n + 1]
 
 

@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .paths import PathbijError
 
-# int() alone would also take "1_0" and non-ASCII digits such as "\u0661".
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# int() alone would also take "1_0" or "\u0661"; \s is the whitespace str.split() splits on.
+_PAIR = re.compile(r"\s*([+-]?[0-9]+)\s+([+-]?[0-9]+)\s*")
 
 
 class MalformedLine(PathbijError):
@@ -50,15 +50,15 @@ def parse_bfile(text: str) -> dict[int, int]:
     entries: dict[int, int] = {}
     previous: int | None = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 2:
-            raise MalformedLine(line_number, f"expected 2 fields, got {len(parts)}")
-        a, b = parts
-        if not (_INTEGER.fullmatch(a) and _INTEGER.fullmatch(b)):
+        pair = _PAIR.fullmatch(raw)
+        if pair is None:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 2:
+                raise MalformedLine(line_number, f"expected 2 fields, got {len(parts)}")
             raise MalformedLine(line_number, "fields must be integers")
-        index, value = int(a), int(b)
+        index, value = int(pair[1]), int(pair[2])
         if previous is not None and index != previous + 1:
             raise NonContiguousIndex(line_number)
         entries[index] = value

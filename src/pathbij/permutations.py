@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import combinations, compress
-from operator import lt, or_
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter, lt, or_
+from typing import Iterable, Sequence
 
 from .paths import PathbijError
 
@@ -104,13 +104,21 @@ def _table(k: int, q: int, shapes: tuple[list, list]) -> tuple:
     return [a for a, _ in pairs], [b for _, b in pairs], list(pairs.values()), always, rows
 
 
-def _live(get: Callable[[int], int], table: tuple, sites: int) -> int:
-    # The sites of the bitmask `sites` at which no row of the table rises in value.
+def _reads(table: tuple) -> tuple:
+    # The table with its positions as getters, so a node reads each list of values in one call.
+    # Two leading (0, 0) pairs, which never rise, keep a getter's result a tuple at 0 or 1 pairs.
     firsts, seconds, masks, always, rows = table
-    rises = compress(masks, map(lt, map(get, firsts), map(get, seconds)))
+    rows = [(mask, itemgetter(*a), itemgetter(*b)) for mask, a, b in rows]  # >= 2 entries each
+    return itemgetter(0, 0, *firsts), itemgetter(0, 0, *seconds), (0, 0, *masks), always, rows
+
+
+def _live(perm: Permutation, reads: tuple, sites: int) -> int:
+    # The sites of the bitmask `sites` at which no row of the table rises in value.
+    firsts, seconds, masks, always, rows = reads
+    rises = compress(masks, map(lt, firsts(perm), seconds(perm)))
     live = sites & ~(always | reduce(or_, rises, 0))
     for mask, a, b in rows:
-        if live & mask and all(map(lt, map(get, a), map(get, b))):
+        if live & mask and all(map(lt, a(perm), b(perm))):
             live &= ~mask
     return live
 
@@ -141,16 +149,18 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     # that side, _shapes gives how many entries lie before, between and after the two
     # largest, and the value order of those entries.
     shapes = _shapes(pats)
-    # One table per (k, q); its key does not name the patterns, so it lives for one call.
-    tables: dict[tuple[int, int], tuple] = {}
+    # The table of (k, q) is tables[k][q]; it does not name the patterns, so it lives for one call.
+    tables: list[list] = [[None] * k for k in range(m)]
     count = 0
     # An avoider of [k], where k sits in it, and the bitmask of sites to test for k + 1.
     stack = [((1,), 0, 0b11)]
     while stack:
         perm, q, sites = stack.pop()
         k = len(perm)
-        table = tables.get((k, q)) or tables.setdefault((k, q), _table(k, q, shapes))
-        live = _live(perm.__getitem__, table, sites)
+        reads = tables[k][q]
+        if reads is None:
+            reads = tables[k][q] = _reads(_table(k, q, shapes))
+        live = _live(perm, reads, sites)
         if k + 1 == m:
             count += live.bit_count()
             continue

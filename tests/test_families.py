@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 import weakref
 from collections import defaultdict
+from operator import add
 
 import pytest
 
@@ -192,6 +193,37 @@ def test_counts_agree_at_scale():
 
 def test_recurrence_matches_both_dps():
     assert count_series(400) == count_class_a_series(400) == count_class_b_series(400)
+
+
+def a026737_by_triangle(max_n, parity=0, shift=0):
+    """A026737, a(n) = T(2n, n), from its triangle A026736: T(n, 0) = T(n, n) = 1 and
+    T(n, k) = T(n-1, k-1) + T(n-1, k), plus T(n-2, k-1) when n is even and k = (n-2)/2.
+
+    The definition is recalled, not checked against the OEIS text; it agrees with
+    count_series to n = 1000 below.  Read with height n - 2k, the extra term is a
+    flatstep at height 2, so the triangle counts class A by endpoint: its code shares
+    nothing with the class-A DP, but its mathematics does.  ``parity`` and ``shift``
+    move the extra term to odd n or to k + shift, for the mutants below.
+    """
+    terms, two_back, row = [1], [], [1]  # rows n-2 and n-1
+    for n in range(1, 2 * max_n + 1):
+        new = [1, *map(add, row, row[1:]), 1]
+        k = (n - 2) // 2 + shift
+        if n % 2 == parity and 1 <= k < n:
+            new[k] += two_back[k - 1]
+        two_back, row = row, new
+        if n % 2 == 0:
+            terms.append(row[n // 2])
+    return terms
+
+
+def test_a026737_by_its_own_definition_is_the_recurrence():
+    assert a026737_by_triangle(1000) == count_series(1000)
+
+
+@pytest.mark.parametrize("parity, shift", [(1, 0), (0, -1), (0, 1)])
+def test_a026737_with_the_extra_term_moved_fails_by_n_3(parity, shift):
+    assert a026737_by_triangle(3, parity, shift) != count_series(3)
 
 
 @pytest.mark.parametrize("dp", [count_class_a_series, count_class_b_series])

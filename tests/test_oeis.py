@@ -1,8 +1,10 @@
 import random
+import re
 import tracemalloc
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathbij import (
     MalformedLine,
@@ -55,6 +57,65 @@ def test_parse_bfile_takes_only_ascii_decimal_fields(text, line_number):
         parse_bfile(text)
     assert exc.value.line_number == line_number
     assert str(exc.value) == f"malformed b-file line {line_number}: fields must be integers"
+
+
+def test_parse_bfile_splits_fields_on_unicode_whitespace():
+    assert parse_bfile("0\u00a01\n1\u30002\n2\t\u00a06 \u3000\n") == {0: 1, 1: 2, 2: 6}
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def ref_parse_bfile(text):
+    """The field-splitting ``parse_bfile``: the reference for its entries and errors."""
+    entries = {}
+    previous = None
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise MalformedLine(line_number, f"expected 2 fields, got {len(parts)}")
+        a, b = parts
+        if not (_INTEGER.fullmatch(a) and _INTEGER.fullmatch(b)):
+            raise MalformedLine(line_number, "fields must be integers")
+        index, value = int(a), int(b)
+        if previous is not None and index != previous + 1:
+            raise NonContiguousIndex(line_number)
+        entries[index] = value
+        previous = index
+    return entries
+
+
+def _parsed(parse, text):
+    try:
+        return list(parse(text).items())
+    except (MalformedLine, NonContiguousIndex) as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+# Spaces that str.split() and re's \s both take, digits that int() takes and [0-9] does not,
+# and a separator (\x1f) that is whitespace but no line break.
+_SPACES = " \t\u00a0\u2003\u3000\x1f"
+_LINE = st.one_of(
+    st.text("0123456789+-_#a\u0661\uff11" + _SPACES, max_size=12),
+    # Well-formed pairs with small indices, so runs of contiguous lines occur.
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.text(_SPACES, max_size=2),
+        st.sampled_from(["0", "1", "2", "+1", "-0", "02", "1_0", "\uff11"]),
+        st.text(_SPACES, min_size=1, max_size=2),
+        st.sampled_from(["7", "-7", "+7", "1_0", "\u0661"]),
+        st.text(_SPACES, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\u2028"])), max_size=6))
+def test_parse_bfile_agrees_with_the_field_splitting_parser(lines):
+    text = "".join(line + brk for line, brk in lines)
+    assert _parsed(parse_bfile, text) == _parsed(ref_parse_bfile, text)
 
 
 def test_parse_bfile_non_contiguous():

@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import lt, or_
 
 import pytest
 
@@ -17,7 +19,7 @@ from pathbij import (
     parse_permutation,
     rank_signature,
 )
-from pathbij.permutations import MAX_EXHAUSTIVE, _live, _shapes, _table
+from pathbij.permutations import MAX_EXHAUSTIVE, _live, _reads, _shapes, _table
 
 
 def test_parse_permutation():
@@ -255,7 +257,7 @@ def test_dead_sites_match_the_occurrence_search_node_by_node(patterns):
             if any(contains_pattern(perm, p) for p in pats):
                 continue
             q = perm.index(k)
-            live = _live(perm.__getitem__, _table(k, q, shapes), (1 << (k + 1)) - 1)
+            live = _live(perm, _reads(_table(k, q, shapes)), (1 << (k + 1)) - 1)
             for t in range(k + 1):
                 assert (not live >> t & 1) == ref_completes(perm, q, t, chains), (perm, t)
 
@@ -335,9 +337,43 @@ def test_length_six_sets_reach_four_entry_rows():
 def test_a_rising_row_clears_its_whole_interval_and_revives_no_site():
     # One three-entry row, positions 0 < 1 < 2, whose mask spans sites 1-3; site 2 is dead.
     table = ([], [], [], 0, [(0b01110, (0, 1), (1, 2))])
-    assert _live((1, 2, 3, 4).__getitem__, table, 0b11011) == 0b10001
+    assert _live((1, 2, 3, 4), _reads(table), 0b11011) == 0b10001
     # Values that do not rise leave the live sites as they were.
-    assert _live((2, 1, 3, 4).__getitem__, table, 0b11011) == 0b11011
+    assert _live((2, 1, 3, 4), _reads(table), 0b11011) == 0b11011
+
+
+# The node test as it was before its positions were read through getters, kept verbatim as
+# the reference: one interpreted call per position, on the table as _table builds it.
+def ref_live(get, table, sites):
+    firsts, seconds, masks, always, rows = table
+    rises = compress(masks, map(lt, map(get, firsts), map(get, seconds)))
+    live = sites & ~(always | reduce(or_, rises, 0))
+    for mask, a, b in rows:
+        if live & mask and all(map(lt, map(get, a), map(get, b))):
+            live &= ~mask
+    return live
+
+
+@pytest.mark.parametrize("patterns", WALKED_SETS, ids=map(_patterns_id, WALKED_SETS))
+def test_getter_reads_match_the_per_position_node_test(patterns):
+    # Every (k, q) with k <= 8, on tables of no pair (DEFAULT_PATTERNS at (6, 4)), one pair
+    # (at (6, 3)) and more, against seeded permutations of [k] and site masks.
+    shapes = _shapes(frozenset(rank_signature(p) for p in patterns))
+    rng = random.Random(13)
+    for k in range(1, 9):
+        for q in range(k):
+            table = _table(k, q, shapes)
+            reads = _reads(table)
+            for _ in range(12):
+                perm = rng.sample(range(1, k + 1), k)
+                perm.insert(q, perm.pop(perm.index(k)))
+                perm, sites = tuple(perm), rng.getrandbits(k + 1)
+                assert _live(perm, reads, sites) == ref_live(perm.__getitem__, table, sites)
+
+
+def test_default_tables_have_no_pair_and_one_pair_at_length_six():
+    shapes = _shapes(frozenset(DEFAULT_PATTERNS))
+    assert [len(_table(6, q, shapes)[0]) for q in (4, 3)] == [0, 1]
 
 
 def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
