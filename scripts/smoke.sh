@@ -29,6 +29,9 @@ test "$(python -m pathbij.cli perms --n 9 --patterns 132,4231)" = 1025
 # share one table with pair rows.
 test "$(python -m pathbij.cli perms --n 9 --patterns 1342)" = 91245
 test "$(python -m pathbij.cli perms --n 9 --patterns 21)" = 1
+# m = 2 is counted from the root's live sites alone, before any packed pass.
+test "$(python -m pathbij.cli perms --n 2 --patterns 21)" = 1
+test "$(python -m pathbij.cli perms --n 2 --patterns 12,21)" = 0
 test "$(python -m pathbij.cli perms --n 9 --patterns 12345,2143)" = 60470
 # Four-entry rows, each built once for its interval of sites: one length-6 pattern
 # (A047890), then beside the three-entry rows of a length-5 pattern.

@@ -3,13 +3,12 @@
 Containment is checked by brute force.  Avoiders of [m] are counted by
 inserting each new maximum wherever it completes no occurrence (a generating
 tree, West 1995): an oracle deliberately independent of the path counters it
-cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites still live in
-the parent are tested, and below the root only against occurrences through the
-parent's newest entry: any other occurrence would already have killed the site
-the parent came from.  Where such an occurrence can sit depends on the values
-only through their order: per length and newest entry's position, each call
-builds each row of positions once, with the interval of sites a rise there
-kills, and tests all of a node's sites in one pass of comparisons.
+cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites live in the
+parent are tested, and only against occurrences through the newest entry.  A
+child's other entries are its parent's, so per length each call packs all
+children's rows of positions, each with the interval of sites its rise kills,
+into one table on the parent: one pass of comparisons gives every child's live
+sites, and the avoiders of [m - 1] are counted from them, never built.
 """
 
 from __future__ import annotations
@@ -123,6 +122,20 @@ def _live(perm: Permutation, reads: tuple, sites: int) -> int:
     return live
 
 
+def _children(k: int, shapes: tuple[list, list]) -> tuple:
+    # The tables of all k + 1 children of an avoider of [k] as one, on the parent: child s (k + 1
+    # at s) never reads s, reads its p at the parent's p - (p > s), has sites from s * (k + 2).
+    pairs, always, rows = {}, 0, []
+    for s in range(k + 1):
+        at, shift = [p - (p > s) for p in range(k + 1)], s * (k + 2)
+        firsts, seconds, masks, dead, longer = _table(k + 1, s, shapes)
+        always |= dead << shift
+        for a, b, mask in zip(firsts, seconds, masks):
+            pairs[at[a], at[b]] = pairs.get((at[a], at[b]), 0) | mask << shift
+        rows += [(mask << shift, [at[p] for p in a], [at[p] for p in b]) for mask, a, b in longer]
+    return _reads(([a for a, _ in pairs], [b for _, b in pairs], [*pairs.values()], always, rows))
+
+
 def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS) -> int:
     """Count permutations of [m] containing none of the patterns, by inserting maxima."""
     if m < 0:
@@ -149,25 +162,27 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     # that side, _shapes gives how many entries lie before, between and after the two
     # largest, and the value order of those entries.
     shapes = _shapes(pats)
-    # The table of (k, q) is tables[k][q]; it does not name the patterns, so it lives for one call.
-    tables: list[list] = [[None] * k for k in range(m)]
+    # The live sites of [1] for 2.  Tables do not name the patterns, so they live for one call.
+    live = _live((1,), _reads(_table(1, 0, shapes)), 0b11)
+    if m == 2:
+        return live.bit_count()
+    children = [None] + [_children(k, shapes) for k in range(1, m - 1)]
     count = 0
-    # An avoider of [k], where k sits in it, and the bitmask of sites to test for k + 1.
-    stack = [((1,), 0, 0b11)]
+    # An avoider of [k] with a live site for k + 1, and the bitmask of its live sites.  One
+    # pass tests all its children: child s's live sites are bits s * (k + 2) up of the result.
+    stack = [((1,), live)]
     while stack:
-        perm, q, sites = stack.pop()
-        k = len(perm)
-        reads = tables[k][q]
-        if reads is None:
-            reads = tables[k][q] = _reads(_table(k, q, shapes))
-        live = _live(perm, reads, sites)
-        if k + 1 == m:
-            count += live.bit_count()
-            continue
+        perm, live = stack.pop()
+        k, packed = len(perm), 0
         for s in range(k + 1):
             if live >> s & 1:
                 # Dead sites stay dead in every descendant; s splits in two, sites from s move up.
-                low = 1 << s
-                child_sites = (live & (2 * low - 1)) | ((live & -low) << 1)
-                stack.append((perm[:s] + (k + 1,) + perm[s:], s, child_sites))
+                packed |= (live & (2 << s) - 1 | live >> s << s + 1) << s * (k + 2)
+        packed = _live(perm, children[k], packed)
+        if k + 2 == m:
+            count += packed.bit_count()
+            continue
+        for s in range(k + 1):
+            if live := packed >> s * (k + 2) & (1 << k + 2) - 1:
+                stack.append((perm[:s] + (k + 1,) + perm[s:], live))
     return count

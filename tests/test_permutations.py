@@ -19,7 +19,7 @@ from pathbij import (
     parse_permutation,
     rank_signature,
 )
-from pathbij.permutations import MAX_EXHAUSTIVE, _live, _reads, _shapes, _table
+from pathbij.permutations import MAX_EXHAUSTIVE, _children, _live, _reads, _shapes, _table
 
 
 def test_parse_permutation():
@@ -127,6 +127,8 @@ SCAN_CASES += [(m, pats) for pats in LENGTH_FIVE_SETS for m in range(8)]
 SCAN_CASES += [(m, ((1,), (3, 2, 4, 1))) for m in range(7)]
 # The shortest pattern decides: the empty one occurs even in the empty permutation.
 SCAN_CASES += [(m, ((), (1, 2))) for m in range(7)]
+# At m = 2 the count is the root's live sites alone, with no packed pass (a set above has 12).
+SCAN_CASES += [(2, pats) for pats in (((2, 1),), ((1, 2), (2, 1)), ((2, 1), (1, 2, 3)))]
 
 
 def _patterns_id(pats):
@@ -371,6 +373,76 @@ def test_getter_reads_match_the_per_position_node_test(patterns):
                 assert _live(perm, reads, sites) == ref_live(perm.__getitem__, table, sites)
 
 
+@pytest.mark.parametrize("patterns", TABLE_SETS, ids=map(_patterns_id, TABLE_SETS))
+def test_packed_children_match_each_childs_own_table(patterns):
+    # At every avoider of [k], k <= 7, one pass on the parent tests all k + 1 children, every
+    # site of each: child s's k + 2 bits are what its own table gives on the child itself.
+    pats = frozenset(rank_signature(p) for p in patterns)
+    shapes, chains = _shapes(pats), ref_shapes(pats)
+    level = [(1,)]
+    for k in range(1, 8):
+        full = (1 << k + 2) - 1
+        reads, sites = _children(k, shapes), sum(full << s * (k + 2) for s in range(k + 1))
+        tables = [_reads(_table(k + 1, s, shapes)) for s in range(k + 1)]
+        for perm in level:
+            packed = _live(perm, reads, sites)
+            for s in range(k + 1):
+                child = perm[:s] + (k + 1,) + perm[s:]
+                assert packed >> s * (k + 2) & full == _live(child, tables[s], full), (perm, s)
+        level = [
+            perm[:t] + (k + 1,) + perm[t:]
+            for perm in level
+            for t in range(k + 1)
+            if not ref_completes(perm, perm.index(k), t, chains)
+        ]
+
+
+def _children_live(perm, live, reads):
+    # Each child of perm, an avoider of [k] whose live sites for k + 1 are `live`, with its live
+    # sites, from one packed pass: live site s splits in two, and sites from s move up.
+    k = len(perm)
+    width, at = k + 2, [s for s in range(k + 1) if live >> s & 1]
+    sites = sum((live & (2 << s) - 1 | live >> s << s + 1) << s * width for s in at)
+    packed = _live(perm, reads, sites)
+    return {perm[:s] + (k + 1,) + perm[s:]: packed >> s * width & (1 << width) - 1 for s in at}
+
+
+def _west_children(label):
+    s, j, r = label
+    rule = [(r, r, 0)] * (s - j) + [(s + 1, i, 1) for i in range(2, j + 1)]
+    return sorted(rule + [(s + 1, j + 1, r + 1 if r else 0)])
+
+
+def test_default_tree_follows_wests_three_label_rule():
+    """Label each avoider of DEFAULT_PATTERNS (s, j, r): s live sites, j children with s + 1
+    live sites, and r the live-site count its other children share (0 if j = s).  The rule
+
+        (s, j, r) -> (s - j) x (r, r, 0), (s + 1, i, 1) for 2 <= i <= j,
+                     (s + 1, j + 1, r + 1 if r else 0)
+
+    from [1] = (2, 2, 0) is empirical: no proof is written down.  It is checked here at
+    every node up to [8], so on labels read from the packed walk up to [9].
+    """
+    shapes = _shapes(frozenset(DEFAULT_PATTERNS))
+    level = {(1,): _live((1,), _reads(_table(1, 0, shapes)), 0b11)}
+    labels, kids = {}, {}
+    for k in range(1, 10):
+        reads, after = _children(k, shapes), {}
+        for perm, live in level.items():
+            kids[perm] = _children_live(perm, live, reads)
+            after.update(kids[perm])
+            counts = [child.bit_count() for child in kids[perm].values()]
+            s = live.bit_count()
+            others = {c for c in counts if c != s + 1}
+            assert len(others) <= 1, (perm, counts)
+            labels[perm] = s, counts.count(s + 1), min(others, default=0)
+        level = after
+    assert labels[(1,)] == (2, 2, 0)
+    for perm, children in kids.items():
+        if len(perm) <= 8:
+            assert sorted(map(labels.get, children)) == _west_children(labels[perm]), perm
+
+
 def test_default_tables_have_no_pair_and_one_pair_at_length_six():
     shapes = _shapes(frozenset(DEFAULT_PATTERNS))
     assert [len(_table(6, q, shapes)[0]) for q in (4, 3)] == [0, 1]
@@ -381,7 +453,7 @@ def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
 
 
 def test_position_tables_do_not_outlive_a_call():
-    # The pattern sets below tabulate other positions under the same (k, q) keys, so
+    # The pattern sets below tabulate other positions under the same lengths, so
     # tables shared across calls would count the later sets wrongly.
     sets = [DEFAULT_PATTERNS, MIXED_LENGTHS, LENGTH_FIVE_SETS[-1]]
     expected = [
