@@ -179,6 +179,19 @@ for argv in "map --path F" "unmap --path UUDUDD"; do
   printf '%s\n' "$err" | grep -q '^error:'
   if printf '%s\n' "$err" | grep -q Traceback; then exit 1; fi
 done
+# The one domain error: a word outside the map's class exits 2, traced or not, with the
+# NotInClass line on stderr and nothing on stdout.
+for pin in "map --path UFFD:input is not a grand Schroeder path with all flatsteps on y=2" \
+    "unmap --path DU:input is not a Schroeder path with at most one peak per component"; do
+  IFS=: read -r argv message <<< "$pin"
+  for trace in "" --trace; do
+    rc=0
+    python -m pathbij.cli $argv $trace > "$tmp/domain.out" 2> "$tmp/domain.err" || rc=$?
+    test "$rc" = 2
+    printf 'error: %s\n' "$message" | cmp - "$tmp/domain.err"
+    test ! -s "$tmp/domain.out"
+  done
+done
 # A long generated class-A path: the trace's last line is the image, and unmap undoes it.
 long="$(python -c 'import sys; sys.path.insert(0, "bench"); import longpaths; print(*longpaths.generate(7, 1, 50_000, 500))')"
 test "${#long}" -ge 50000

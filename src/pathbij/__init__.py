@@ -9,7 +9,6 @@ and OEIS b-file comparison.
 """
 
 from .bijection import (
-    InverseDomainError,
     NotInClass,
     Stage,
     phi,
@@ -68,7 +67,6 @@ __all__ = [
     "DOWN",
     "FLAT",
     "InvalidCharacter",
-    "InverseDomainError",
     "MalformedLine",
     "NonContiguousIndex",
     "NotGroundTerminated",

@@ -2,9 +2,8 @@
 
 One verb per capability: enumerate, count, map, unmap, verify, perms, oeis,
 render.  All output is line-oriented UTF-8; path strings use the U/F/D
-grammar.  Exit codes: 0 success or verified, 1 verification mismatch, an
-inverse-stage domain failure or an output pipe closed by its reader, 2 usage
-or parse errors.
+grammar.  Exit codes: 0 success or verified, 1 verification mismatch or an
+output pipe closed by its reader, 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, eq, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bijection import (
-    InverseDomainError,
-    NotInClass,
-    map_component,
-    phi,
-    phi_inverse,
-    trace_blocks,
-)
+from .bijection import NotInClass, map_component, phi, phi_inverse, trace_blocks
 from .families import (
     Census,
     class_a_words,
@@ -177,7 +169,10 @@ def _component_problems(c: str, n: int, q: str | None, back: str | None) -> list
         q = map_component(c) if q is None else q
         if q.count(UP) + q.count(FLAT) != n:
             return [f"size changed: {c} -> {q}"]
-        q_hs = step_heights(q)
+        try:
+            q_hs = step_heights(q)
+        except KeyError:
+            return [f"image has a step outside U/F/D: {c} -> {q}"]
         if q_hs[-1] != 0 or q_hs.count(0) != 2:
             return [f"component sizes changed: {c} -> {q}"]
         if q.count(PEAK) != (0 if c[0] == DOWN else 1):
@@ -192,10 +187,14 @@ def _component_problems(c: str, n: int, q: str | None, back: str | None) -> list
 
 
 def _joined_test(words: list[str], n: int, member: Callable[..., bool]) -> list[str] | None:
-    """The words that are one component, if each ends on ground and has size n and the join
-    is a member (just when each word is, as each keeps its heights in it); else None."""
+    """The words that are one component if each is a U/F/D word of size n ending on ground
+    and the join is a member (just when each word is, as each keeps its heights); else None."""
     joined, lens = "".join(words), list(map(len, words))
-    hs, ends = step_heights(joined), list(accumulate(lens))
+    try:
+        hs = step_heights(joined)
+    except KeyError:  # a character outside U/F/D
+        return None
+    ends = list(accumulate(lens))
     # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
     sized = all(map(eq, map(add, lens, map(str.count, words, repeat(FLAT))), repeat(2 * n)))
     if any(map(hs.__getitem__, ends)) or not sized or not member(joined, hs):
@@ -270,8 +269,8 @@ def check_size(
             ones = _joined_test(images, n, class_b_word)
             if ones == images and list(map(str.count, images, repeat(PEAK))) == peaks:
                 backs += map(map_component, images, repeat(True))
-        except (PathbijError, KeyError):
-            pass  # a map that raised, or an image off U/F/D: checked again one by one below
+        except PathbijError:
+            pass  # a map that raised: checked again one by one below
         if backs != chunk:
             for c, q, back in zip_longest(chunk, images, backs):
                 if found := _component_problems(c, n, q, back):
@@ -361,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return globals()[args.func](args)
     except PathbijError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, InverseDomainError) else 2
+        return 2
     except BrokenPipeError:
         # The reader closed the pipe (as `| head` does).  Point stdout at devnull so
         # the flush at exit raises nothing more.

@@ -19,7 +19,7 @@ import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import count_class_a_series, count_class_b_series, count_series
-from pathbij.bijection import InverseDomainError, map_component, map_word, trace_components
+from pathbij.bijection import map_component, map_word, trace_components
 from pathbij.cli import main
 from pathbij.families import Census, class_a_words, class_b_words, indec_census
 from pathbij.paths import PathbijError, class_a_word, class_b_word, parse_path, step_heights
@@ -190,8 +190,9 @@ def test_map_trace_heads_each_repeated_component(capsys):
     ]
 
 
-def test_unmap_inverse_stage_failure_exits_one(capsys, monkeypatch):
-    # A recover-marks stage that shifts every mark makes contract-marks see no valley.
+def test_verify_reports_an_inverse_stage_that_shifts_marks(capsys, monkeypatch):
+    # A recover-marks stage that shifts every mark: no kernel re-tests its input, so
+    # contract-marks returns a wrong word, and verify names the component it fails.
     table = list(pathbij.bijection._ABOVE_STAGES)
     recover = table[1][3]
 
@@ -201,10 +202,13 @@ def test_unmap_inverse_stage_failure_exits_one(capsys, monkeypatch):
 
     table[1] = (*table[1][:3], shifted)
     monkeypatch.setattr(pathbij.bijection, "_ABOVE_STAGES", tuple(table))
-    code, out, err = run(["unmap", "--path", "UUFUDDD"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == "error: vertex 5 is not between a downstep and an upstep\n"
+    code, out, err = run(["verify", "--max-size", "4"], capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[3:5] == [
+        "n=3: |A|=21 |B|=21 bijection FAILED",
+        "  inverse roundtrip failed for UUFDD",
+    ]
 
 def test_map_rejects_invalid_characters(capsys):
     code, _, err = run(["map", "--path", "UXD"], capsys)
@@ -256,8 +260,6 @@ def ref_trace(path, inverse):
     then the image."""
     try:
         traces = trace_components(parse_path(path), inverse=inverse)
-    except InverseDomainError:
-        return 1, ""
     except PathbijError:
         return 2, ""
     out = []
@@ -476,6 +478,16 @@ def _last_b_extended(n, enumerate_b=class_b_words):
             # a character outside U/F/D in an image of the wrong size
             "map_component", _faulty(forward=lambda w: "X"), 1,
             "size changed: DU -> X", id="bad-character",
+        ),
+        pytest.param(
+            # a character outside U/F/D in an image of the right size
+            "map_component", _faulty(forward=lambda w: {"DU": "UX"}.get(w) or map_component(w)),
+            1, "image has a step outside U/F/D: DU -> UX", id="bad-character-sized",
+        ),
+        pytest.param(
+            # a word with a character outside U/F/D in the class-A enumeration
+            "class_a_words", lambda n: ["UX" if w == "UD" else w for w in class_a_words(n)], 1,
+            "class A enumeration holds UX, not in A_1", id="bad-character-class-a",
         ),
         pytest.param(
             "map_component", _faulty(backward=_swapped_preimages), 3,
@@ -827,7 +839,7 @@ def _faulty_run(component, inverse, fault):
 
 
 def _raise(steps):
-    raise pathbij.bijection.InverseDomainError(f"refused {steps}")
+    raise PathbijError(f"refused {steps}")
 
 
 @pytest.mark.parametrize(
