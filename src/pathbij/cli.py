@@ -181,8 +181,9 @@ def _component_problems(c: str, n: int, q: str | None, back: str | None) -> list
             return problems + [f"error for {c}: {NotInClass.MESSAGES[True]}"]
         if (map_component(q, True) if back is None else back) != c:
             problems.append(f"inverse roundtrip failed for {c}")
-    except PathbijError as exc:
-        problems.append(f"error for {c}: {exc}")
+    except Exception as exc:  # a faulty kernel may raise anything; name what is not ours
+        kind = "" if isinstance(exc, PathbijError) else f"{type(exc).__name__}: "
+        problems.append(f"error for {c}: {kind}{exc}")
     return problems
 
 
@@ -269,7 +270,7 @@ def check_size(
             ones = _joined_test(images, n, class_b_word)
             if ones == images and list(map(str.count, images, repeat(PEAK))) == peaks:
                 backs += map(map_component, images, repeat(True))
-        except PathbijError:
+        except Exception:
             pass  # a map that raised: checked again one by one below
         if backs != chunk:
             for c, q, back in zip_longest(chunk, images, backs):

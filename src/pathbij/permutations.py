@@ -5,10 +5,13 @@ inserting each new maximum wherever it completes no occurrence (a generating
 tree, West 1995): an oracle deliberately independent of the path counters it
 cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites live in the
 parent are tested, and only against occurrences through the newest entry.  A
-child's other entries are its parent's, so per length each call packs all
+child's other entries are its parent's, so per length each call enumerates all
 children's rows of positions, each with the interval of sites its rise kills,
-into one table on the parent: one pass of comparisons gives every child's live
-sites, and the avoiders of [m - 1] are counted from them, never built.
+straight into one table in the parent's coordinates: one pass of comparisons
+gives every child's live sites, and the avoiders of [m - 1] are counted from
+them, never built.  What sites children inherit hangs on the length and the
+parent's live sites only, so a call spreads each mask once, into a dict per
+length; both die with the call, as a table does not name its patterns.
 """
 
 from __future__ import annotations
@@ -80,18 +83,22 @@ def _shapes(pats: Iterable[Permutation]) -> tuple[list, list]:
     return shapes
 
 
-def _table(k: int, q: int, shapes: tuple[list, list]) -> tuple:
+def _table(k: int, qs: Sequence[int], shapes: tuple[list, list], d: int = 0) -> tuple:
     # The positions of the other entries of an occurrence through k (at q) and a new maximum
     # at site t, in value order: a row, which kills t if its values rise.  A row is built once,
     # for the interval of sites t that have j of its positions s on t's side of k before t and
     # n after (m more lie on k's other side).  Pair rows map to site bitmasks; shorter ones
-    # kill their sites always; longer ones keep pairs.
-    pairs, always, rows = {}, 0, []
-    for right, start, stop, other in ((True, 0, q, range(q + 1, k)), (False, q + 1, k, range(q))):
+    # kill their sites always; longer ones keep pairs.  The tables of all q in qs share one,
+    # q's sites from bit (q - qs[0]) * (k + 1); with d = 1, positions after q read one lower.
+    pairs, always, rows, sides = {}, 0, [], []
+    for q in qs:
+        shift, lo, hi = (q - qs[0]) * (k + 1), q + 1 - d, k - d
+        sides += (True, 0, q, range(lo, hi), shift), (False, lo, hi, range(q), shift + d)
+    for right, start, stop, other, up in sides:
         for counts, order in shapes[right]:
             j, n, m = counts if right else (counts[1], counts[2], counts[0])
             for s in combinations(range(start, stop), j + n):
-                sites = (2 << (s[j] if n else stop)) - (1 << (s[j - 1] + 1 if j else start))
+                sites = (2 << (s[j] if n else stop)) - (1 << (s[j - 1] + 1 if j else start)) << up
                 for o in combinations(other, m):
                     row = tuple(map((s + o if right else o + s).__getitem__, order))
                     if len(row) < 2:
@@ -125,15 +132,14 @@ def _live(perm: Permutation, reads: tuple, sites: int) -> int:
 def _children(k: int, shapes: tuple[list, list]) -> tuple:
     # The tables of all k + 1 children of an avoider of [k] as one, on the parent: child s (k + 1
     # at s) never reads s, reads its p at the parent's p - (p > s), has sites from s * (k + 2).
-    pairs, always, rows = {}, 0, []
-    for s in range(k + 1):
-        at, shift = [p - (p > s) for p in range(k + 1)], s * (k + 2)
-        firsts, seconds, masks, dead, longer = _table(k + 1, s, shapes)
-        always |= dead << shift
-        for a, b, mask in zip(firsts, seconds, masks):
-            pairs[at[a], at[b]] = pairs.get((at[a], at[b]), 0) | mask << shift
-        rows += [(mask << shift, [at[p] for p in a], [at[p] for p in b]) for mask, a, b in longer]
-    return _reads(([a for a, _ in pairs], [b for _, b in pairs], [*pairs.values()], always, rows))
+    return _reads(_table(k + 1, range(k + 1), shapes, 1))
+
+
+def _spread(k: int, live: int) -> int:
+    # The sites each child of an avoider of [k] with live sites `live` inherits, packed as
+    # _children's table has them: dead sites stay dead, s splits in two, sites from s move up.
+    lives = [s for s in range(k + 1) if live >> s & 1]
+    return sum((live & (2 << s) - 1 | live >> s << s + 1) << s * (k + 2) for s in lives)
 
 
 def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS) -> int:
@@ -163,21 +169,19 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     # largest, and the value order of those entries.
     shapes = _shapes(pats)
     # The live sites of [1] for 2.  Tables do not name the patterns, so they live for one call.
-    live = _live((1,), _reads(_table(1, 0, shapes)), 0b11)
+    live = _live((1,), _reads(_table(1, [0], shapes)), 0b11)
     if m == 2:
         return live.bit_count()
     children = [None] + [_children(k, shapes) for k in range(1, m - 1)]
-    count = 0
+    spread, count = [{} for _ in range(m - 1)], 0  # spread[k]: live -> _spread(k, live)
     # An avoider of [k] with a live site for k + 1, and the bitmask of its live sites.  One
     # pass tests all its children: child s's live sites are bits s * (k + 2) up of the result.
     stack = [((1,), live)]
     while stack:
         perm, live = stack.pop()
-        k, packed = len(perm), 0
-        for s in range(k + 1):
-            if live >> s & 1:
-                # Dead sites stay dead in every descendant; s splits in two, sites from s move up.
-                packed |= (live & (2 << s) - 1 | live >> s << s + 1) << s * (k + 2)
+        k = len(perm)
+        if (packed := spread[k].get(live)) is None:
+            packed = spread[k][live] = _spread(k, live)
         packed = _live(perm, children[k], packed)
         if k + 2 == m:
             count += packed.bit_count()

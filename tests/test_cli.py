@@ -872,6 +872,25 @@ def test_verify_maps_each_distinct_component_once_per_failing_run(
     assert {*forward.values(), *backward.values()} == {1, 1 + raising}
 
 
+def test_verify_names_a_kernel_that_raises_a_plain_exception(capsys, monkeypatch):
+    # A faulty kernel fails with an IndexError, not a PathbijError: the run goes on and the
+    # component's line names the exception's class.
+    def index_error(steps):
+        raise IndexError("list index out of range")
+
+    faulty_run, _ = _faulty_run("UUFDD", False, index_error)
+    monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
+    code, out, err = run(["verify", "--max-size", "4"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[3:] == [
+        "n=3: |A|=21 |B|=21 bijection FAILED",
+        "  error for UUFDD: IndexError: list index out of range",
+        "n=4: |A|=79 |B|=79 bijection FAILED",
+        "  smaller components failed: 1, first UUFDD",
+    ]
+    assert "Traceback" not in out
+
+
 @pytest.mark.parametrize(
     "n,forward,backward,lines",
     [

@@ -19,7 +19,15 @@ from pathbij import (
     parse_permutation,
     rank_signature,
 )
-from pathbij.permutations import MAX_EXHAUSTIVE, _children, _live, _reads, _shapes, _table
+from pathbij.permutations import (
+    MAX_EXHAUSTIVE,
+    _children,
+    _live,
+    _reads,
+    _shapes,
+    _spread,
+    _table,
+)
 
 
 def test_parse_permutation():
@@ -259,7 +267,7 @@ def test_dead_sites_match_the_occurrence_search_node_by_node(patterns):
             if any(contains_pattern(perm, p) for p in pats):
                 continue
             q = perm.index(k)
-            live = _live(perm, _reads(_table(k, q, shapes)), (1 << (k + 1)) - 1)
+            live = _live(perm, _reads(_table(k, [q], shapes)), (1 << (k + 1)) - 1)
             for t in range(k + 1):
                 assert (not live >> t & 1) == ref_completes(perm, q, t, chains), (perm, t)
 
@@ -327,12 +335,12 @@ def test_tables_match_the_per_site_construction(patterns):
     shapes = _shapes(frozenset(rank_signature(p) for p in patterns))
     for k in range(1, 9):
         for q in range(k):
-            assert _merged(_table(k, q, shapes)) == _merged(ref_table(k, q, shapes)), (k, q)
+            assert _merged(_table(k, [q], shapes)) == _merged(ref_table(k, q, shapes)), (k, q)
 
 
 def test_length_six_sets_reach_four_entry_rows():
     shapes = _shapes(frozenset(LENGTH_SIX_SETS[0]))
-    rows = [row for k in range(1, 9) for q in range(k) for row in _table(k, q, shapes)[4]]
+    rows = [row for k in range(1, 9) for q in range(k) for row in _table(k, [q], shapes)[4]]
     assert any(len(a) == 3 for _, a, _ in rows)
 
 
@@ -364,7 +372,7 @@ def test_getter_reads_match_the_per_position_node_test(patterns):
     rng = random.Random(13)
     for k in range(1, 9):
         for q in range(k):
-            table = _table(k, q, shapes)
+            table = _table(k, [q], shapes)
             reads = _reads(table)
             for _ in range(12):
                 perm = rng.sample(range(1, k + 1), k)
@@ -383,7 +391,7 @@ def test_packed_children_match_each_childs_own_table(patterns):
     for k in range(1, 8):
         full = (1 << k + 2) - 1
         reads, sites = _children(k, shapes), sum(full << s * (k + 2) for s in range(k + 1))
-        tables = [_reads(_table(k + 1, s, shapes)) for s in range(k + 1)]
+        tables = [_reads(_table(k + 1, [s], shapes)) for s in range(k + 1)]
         for perm in level:
             packed = _live(perm, reads, sites)
             for s in range(k + 1):
@@ -395,6 +403,24 @@ def test_packed_children_match_each_childs_own_table(patterns):
             for t in range(k + 1)
             if not ref_completes(perm, perm.index(k), t, chains)
         ]
+
+
+# The sites a child inherits, one at a time: child s (k + 1 at the parent's live site s) has
+# site t live if the parent has site t - (t > s), so the parent's site s gives it s and s + 1.
+def ref_spread(k, live):
+    packed = 0
+    for s in range(k + 1):
+        for t in range(k + 2):
+            if live >> s & 1 and live >> t - (t > s) & 1:
+                packed |= 1 << s * (k + 2) + t
+    return packed
+
+
+def test_spread_matches_the_site_by_site_inheritance():
+    # Every mask of live sites a parent of k <= 6 entries can have.
+    for k in range(7):
+        for live in range(1 << k + 1):
+            assert _spread(k, live) == ref_spread(k, live), (k, bin(live))
 
 
 def _children_live(perm, live, reads):
@@ -424,7 +450,7 @@ def test_default_tree_follows_wests_three_label_rule():
     every node up to [8], so on labels read from the packed walk up to [9].
     """
     shapes = _shapes(frozenset(DEFAULT_PATTERNS))
-    level = {(1,): _live((1,), _reads(_table(1, 0, shapes)), 0b11)}
+    level = {(1,): _live((1,), _reads(_table(1, [0], shapes)), 0b11)}
     labels, kids = {}, {}
     for k in range(1, 10):
         reads, after = _children(k, shapes), {}
@@ -445,7 +471,7 @@ def test_default_tree_follows_wests_three_label_rule():
 
 def test_default_tables_have_no_pair_and_one_pair_at_length_six():
     shapes = _shapes(frozenset(DEFAULT_PATTERNS))
-    assert [len(_table(6, q, shapes)[0]) for q in (4, 3)] == [0, 1]
+    assert [len(_table(6, [q], shapes)[0]) for q in (4, 3)] == [0, 1]
 
 
 def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
