@@ -8,13 +8,7 @@ families (with stage tracing and inverses), a pattern-avoidance cross-check,
 and OEIS b-file comparison.
 """
 
-from .bijection import (
-    NotInClass,
-    Stage,
-    phi,
-    phi_inverse,
-    trace_components,
-)
+from .bijection import NotInClass, phi, phi_inverse
 from .families import (
     Census,
     count_class_a_series,
@@ -76,7 +70,6 @@ __all__ = [
     "Permutation",
     "RangeNotCovered",
     "SizeTooLarge",
-    "Stage",
     "Step",
     "UP",
     "compare_sequence",
@@ -97,5 +90,4 @@ __all__ = [
     "phi_inverse",
     "rank_signature",
     "render_ascii",
-    "trace_components",
 ]

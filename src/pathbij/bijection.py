@@ -21,10 +21,10 @@ backwards on one component and returns the values the component passes
 through, the last of which is ``map_component``; ``map_word`` (under ``phi``
 and ``phi_inverse``) joins the ``map_component`` of each of its input's
 components, so a word's image is decided by its components'.
-``trace_components`` records the same step words as ``Stage``s (the record
-API), and ``trace_blocks`` formats them for ``map --trace`` with no ``Stage``.
-All three map each distinct component once per call and reuse its values for
-its repeats, and check class membership once, where the word enters.
+``trace_blocks`` formats the same values as ``map --trace``'s text, the one
+trace of the maps.  Both map each distinct component once per call and reuse
+its values for its repeats, and check class membership once, where the word
+enters.
 
 No kernel re-tests its input, as each stage maps one set of step words onto
 the next (the tests check each stage as a bijection between its two sets).  On
@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 from operator import add
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .paths import (
     DOWN,
@@ -77,8 +77,8 @@ def _flatten(s: str, keep: int | None = None) -> str:
     return s[: keep - 1].replace(PEAK, FLAT) + PEAK + s[keep + 1 :].replace(PEAK, FLAT)
 
 
-# Stage kernels map (steps, annotations) to the next pair; the annotations
-# are ``Stage`` keyword fields, printed by the trace and read by the next stage.
+# The stage kernels map (steps, annotations) to the next pair; the annotations
+# are ``_line``'s keyword arguments, printed by the trace and read by the next stage.
 
 
 def _expand_flats(s: str, _: dict) -> tuple[str, dict]:
@@ -210,25 +210,8 @@ def _run(steps: str, inverse: bool) -> list[tuple[str, str, dict]]:
     return values
 
 
-class Stage(NamedTuple):
-    """One labelled value in a pipeline trace, with any landmarks it carries.
-
-    A record of six fields: equal to (and hashed as) the plain tuple of them.
-    """
-
-    label: str
-    path: str  # the step word
-    marks: frozenset[int] = frozenset()
-    v1: int | None = None
-    v2: int | None = None
-    w: int | None = None
-
-    def line(self) -> str:
-        return _line(*self)
-
-
 def _line(label, path, marks=frozenset(), v1=None, v2=None, w=None) -> str:
-    """One trace line: a ``Stage``'s fields, or a ``_run`` value's label, steps and annotations."""
+    """One trace line: a ``_run`` value's label, steps and annotations."""
     out = f"{label}: {path}".rstrip()
     if marks:
         out += " marks=" + ",".join(map(str, sorted(marks)))
@@ -284,26 +267,11 @@ def phi_inverse(q: Path) -> Path:
     return Path(map_word(q.steps, True))
 
 
-def trace_components(p: Path, *, inverse: bool = False) -> tuple[tuple[Stage, ...], ...]:
-    """The stages of ``phi`` (``phi_inverse`` if ``inverse``) on each component of p, in order.
-
-    Class membership is checked once, as in ``phi`` and ``phi_inverse``, with
-    the same error; the components' output stages concatenate to the image.
-    Below-ground (forward) and peak-free (inverse) components map in a single
-    composite move, so their traces have just the input and output stages.
-    """
-    return tuple(
-        _each_once(
-            lambda s: tuple(Stage(label, w, **ann) for label, w, ann in _run(s, inverse)),
-            _components(p.steps, inverse),
-        )
-    )
-
-
 def trace_blocks(p: Path, *, inverse: bool = False) -> list[tuple[str, str, str]]:
     """``(component, its trace lines joined by newlines, its image)`` per component of p, in
-    order: ``map --trace``'s text, formatted from ``_run``'s values with no ``Stage``.
-    Checked as ``trace_components`` is; a component's repeats share its triple."""
+    order: ``map --trace``'s text, formatted from ``_run``'s values.  Class
+    membership is checked once, as in ``phi`` and ``phi_inverse``, with the same
+    error; a component's repeats share its triple."""
 
     def block(s: str) -> tuple[str, str, str]:
         values = _run(s, inverse)

@@ -24,8 +24,8 @@ from pathbij import (
     parse_path,
     phi,
     phi_inverse,
-    trace_components,
 )
+from pathbij.bijection import trace_blocks
 from pathbij.cli import main
 from pathbij.families import class_a_words, class_b_words
 
@@ -46,7 +46,7 @@ def test_criterion_1_worked_example_golden():
     elapsed = time.perf_counter() - t0
     assert image.steps == "FUDUFDUUFUDDD"
     assert back == p
-    assert elapsed < 0.001
+    assert elapsed < 0.001, f"{elapsed * 1e6:.0f} us"
     _report(1, f"worked-example map and inverse roundtrip ({elapsed * 1e6:.0f}us)")
 
 
@@ -58,7 +58,7 @@ def test_criterion_2_below_component_golden():
     elapsed = time.perf_counter() - t0
     assert image.steps == "UFUFDD"
     assert back == p
-    assert elapsed < 0.001
+    assert elapsed < 0.001, f"{elapsed * 1e6:.0f} us"
     _report(2, f"below-ground component golden and roundtrip ({elapsed * 1e6:.0f}us)")
 
 
@@ -68,22 +68,21 @@ def test_criterion_3_stage_trace_golden():
     block swap, so the flattened tail reads F,U,F,D rather than a second
     trailing U,U,D,D hump, which would contradict the one-peak guarantee)."""
     t0 = time.perf_counter()
-    (stages,) = trace_components(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"))
+    ((component, text, image),) = trace_blocks(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"))
     elapsed = time.perf_counter() - t0
-    assert [(s.label, s.path) for s in stages[:5]] == [
-        ("input", "UUUDDUFUUDUDDUDDUDUUDDD"),
-        ("strip-ends", "UUDDUFUUDUDDUDDUDUUDD"),
-        ("expand-flats", "UUDDUDUUUDUDDUDDUDUUDD"),
-        ("flip-components", "DDUUUDDDDUDUUDUUUDUUDD"),
-        ("interchange", "UDUUDUUDDUUUDDDDUDUUDD"),
+    lines = text.split("\n")
+    assert component == "UUUDDUFUUDUDDUDDUDUUDDD"
+    assert lines[:5] == [
+        "input: UUUDDUFUUDUDDUDDUDUUDDD",
+        "strip-ends: UUDDUFUUDUDDUDDUDUUDD",
+        "expand-flats: UUDDUDUUUDUDDUDDUDUUDD marks=6",
+        "flip-components: DDUUUDDDDUDUUDUUUDUUDD v1=9 v2=16",
+        "interchange: UDUUDUUDDUUUDDDDUDUUDD w=7",
     ]
-    assert stages[2].marks == {6}
-    assert (stages[3].v1, stages[3].v2) == (9, 16)
-    assert stages[4].w == 7
-    assert stages[5].path == "FUFUUDDUUFDDDFUFD"
-    assert stages[6].path == "UFUFUUDDUUFDDDFUFDD"
-    assert stages[6].path.count("UD") == 1
-    assert elapsed < 0.001
+    assert lines[5:] == ["flatten-peaks: FUFUUDDUUFDDDFUFD", "output: UFUFUUDDUUFDDDFUFDD"]
+    assert image == "UFUFUUDDUUFDDDFUFDD"
+    assert image.count("UD") == 1
+    assert elapsed < 0.001, f"{elapsed * 1e6:.0f} us"
     _report(3, f"seven-stage trace golden ({elapsed * 1e6:.0f}us)")
 
 

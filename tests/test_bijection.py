@@ -14,11 +14,9 @@ from pathbij import (
     parse_path,
     phi,
     phi_inverse,
-    Stage,
-    trace_components,
 )
 import pathbij.bijection
-from pathbij.bijection import _ABOVE_STAGES, _flatten, map_word
+from pathbij.bijection import _ABOVE_STAGES, _flatten, _line, _run, map_word, trace_blocks
 from pathbij.families import class_a_words, class_b_words
 from pathbij.paths import MIRROR, split_components, step_heights
 
@@ -74,11 +72,6 @@ def above_components(max_size):
         for w in class_a_words(n):
             if step_heights(w).count(0) == 2 and w[0] == "U":
                 yield w
-
-
-def trace_one(component, inverse=False):
-    (stages,) = trace_components(component, inverse=inverse)
-    return stages
 
 
 # Per-stage goldens, keyed by the forward label of each row of the stage table:
@@ -325,9 +318,9 @@ def test_properties_beyond_exhaustive_sizes(case):
     p_parts, q_parts = [c.path for c in components(p)], [c.path for c in components(q)]
     assert [c.size for c in p_parts] == [c.size for c in q_parts]
     assert [c.steps.count("UD") for c in q_parts] == [int(above) for above in sides]
-    forward = [trace_one(c)[-1].path for c in p_parts]
+    forward = [_run(c.steps, False)[-1][1] for c in p_parts]
     assert "".join(forward) == q.steps
-    inverse = [trace_one(c, inverse=True)[-1].path for c in q_parts]
+    inverse = [_run(c.steps, True)[-1][1] for c in q_parts]
     assert "".join(inverse) == p.steps
 
 
@@ -353,7 +346,7 @@ def test_phi_builds_at_most_two_paths_per_call():
 
 
 def test_trace_builds_no_paths_and_records_words():
-    """The input is validated once, where it enters; each stage holds its step word."""
+    """The input is validated once, where it enters; each block holds step words and text."""
     p = parse_path("DUUDDDUUUUUDFDDUUFDDUUFDD")
     q = phi(p)
     calls = []
@@ -366,9 +359,10 @@ def test_trace_builds_no_paths_and_records_words():
     Path.__post_init__ = counted
     try:
         for x, inverse in ((p, False), (q, True)):
-            traces = trace_components(x, inverse=inverse)
-            assert len(traces) == 6
-            assert all(type(s.path) is str for stages in traces for s in stages)
+            blocks = trace_blocks(x, inverse=inverse)
+            assert len(blocks) == 6
+            assert all(type(field) is str for block in blocks for field in block)
+            assert all(type(w) is str for comp, _, _ in blocks for _, w, _ in _run(comp, inverse))
         assert calls == []
     finally:
         Path.__post_init__ = post_init
@@ -382,7 +376,7 @@ def test_trace_forward_worked_stages():
     F,U,F,D.  A rendering of this pipeline whose tail keeps a second trailing
     U,U,D,D hump would contradict the exactly-one-peak output guarantee.
     """
-    stages = trace_one(parse_path("UUUDDUFUUDUDDUDDUDUUDDD"))
+    stages = _run("UUUDDUFUUDUDDUDDUDUUDDD", False)
     expected = [
         ("input", "UUUDDUFUUDUDDUDDUDUUDDD"),
         ("strip-ends", "UUDDUFUUDUDDUDDUDUUDD"),
@@ -392,46 +386,48 @@ def test_trace_forward_worked_stages():
         ("flatten-peaks", "FUFUUDDUUFDDDFUFD"),
         ("output", "UFUFUUDDUUFDDDFUFDD"),
     ]
-    assert [(s.label, s.path) for s in stages] == expected
-    assert stages[2].marks == {6}
-    assert (stages[3].v1, stages[3].v2) == (9, 16)
-    assert stages[4].w == 7
-    assert stages[5].path.endswith("FUFD")
-    assert stages[6].path.count("UD") == 1
+    assert [(label, w) for label, w, _ in stages] == expected
+    assert stages[2][2] == {"marks": {6}}
+    assert stages[3][2] == {"v1": 9, "v2": 16}
+    assert stages[4][2] == {"w": 7}
+    assert stages[5][1].endswith("FUFD")
+    assert stages[6][1].count("UD") == 1
 
 
 def test_trace_forward_below_component():
-    stages = trace_one(parse_path("DU"))
-    assert [(s.label, s.path) for s in stages] == [("input", "DU"), ("output", "F")]
+    stages = _run("DU", False)
+    assert [(label, w) for label, w, _ in stages] == [("input", "DU"), ("output", "F")]
 
 
 def test_trace_forward_degenerate():
-    stages = trace_one(parse_path("UD"))
-    labels = [s.label for s in stages]
+    stages = _run("UD", False)
+    labels = [label for label, _, _ in stages]
     assert labels == [
         "input", "strip-ends", "expand-flats", "flip-components",
         "interchange", "flatten-peaks", "output",
     ]
-    assert [s.path for s in stages] == ["UD", "", "", "", "", "", "UD"]
+    assert [w for _, w, _ in stages] == ["UD", "", "", "", "", "", "UD"]
 
 
 def test_trace_inverse_roundtrips_forward():
     """The inverse trace lists the forward trace's values in reverse, with the same marks and w."""
+
+    def marks_and_w(values):
+        return [(w, ann.get("marks", frozenset()), ann.get("w")) for _, w, ann in values]
+
     for c in above_components(6):
-        fwd = trace_one(Path(c))
-        inv = trace_one(Path(fwd[-1].path), inverse=True)
-        assert [(s.path, s.marks, s.w) for s in inv] == [
-            (s.path, s.marks, s.w) for s in reversed(fwd)
-        ]
-        swapped = fwd[4]
-        assert swapped.label == "interchange"
-        if swapped.path:
-            assert min(step_heights(swapped.path)) >= 0
-            assert swapped.path[swapped.w - 1 : swapped.w + 1] == "UD"
+        fwd = _run(c, False)
+        inv = _run(fwd[-1][1], True)
+        assert marks_and_w(inv) == marks_and_w(reversed(fwd))
+        label, swapped, ann = fwd[4]
+        assert label == "interchange"
+        if swapped:
+            assert min(step_heights(swapped)) >= 0
+            assert swapped[ann["w"] - 1 : ann["w"] + 1] == "UD"
 
 
 def test_trace_serialization():
-    lines = [s.line() for s in trace_one(parse_path("UUUDFDD"))]
+    lines = [_line(label, w, **ann) for label, w, ann in _run("UUUDFDD", False)]
     assert lines == [
         "input: UUUDFDD",
         "strip-ends: UUDFD",
@@ -443,40 +439,36 @@ def test_trace_serialization():
     ]
 
 
-def test_stage_is_an_immutable_hashable_record():
-    assert Stage._fields == ("label", "path", "marks", "v1", "v2", "w")
-    assert Stage._field_defaults == {"marks": frozenset(), "v1": None, "v2": None, "w": None}
-    stage = Stage("strip-ends", "UUDFD")
-    assert (stage.marks, stage.v1, stage.v2, stage.w) == (frozenset(), None, None, None)
-    assert stage.line() == "strip-ends: UUDFD"
-    assert Stage("strip-ends", "").line() == "strip-ends:"
-    flipped = Stage("flip-components", "DDUUDU", v1=2, v2=6)
-    assert flipped.line() == "flip-components: DDUUDU v1=2 v2=6"
-    # A record compares (and hashes) as the plain tuple of its six fields.
-    assert stage == ("strip-ends", "UUDFD", frozenset(), None, None, None)
-    assert hash(flipped) == hash(("flip-components", "DDUUDU", frozenset(), 2, 6, None))
-    stages = trace_one(parse_path("UUUDFDD"))
-    assert len(set(stages)) == len(stages) == 7
-    assert all(type(s) is Stage for s in stages)
-    with pytest.raises(AttributeError):
-        stage.w = 3
-    with pytest.raises(TypeError):
-        stage[0] = "output"
+def test_line_formats_each_annotation():
+    assert _line("strip-ends", "UUDFD") == "strip-ends: UUDFD"
+    assert _line("strip-ends", "") == "strip-ends:"
+    assert _line("flip-components", "DDUUDU", v1=2, v2=6) == "flip-components: DDUUDU v1=2 v2=6"
+    # Every value _run gives carries only annotations _line takes: a frozenset of marks
+    # and int landmarks, with v2 set exactly when v1 is.
+    kinds = {"marks": frozenset, "v1": int, "v2": int, "w": int}
+    for c in {c for n in range(1, 7) for w in class_a_words(n) for c in _parts(w)}:
+        for inverse, steps in ((False, c), (True, map_word(c))):
+            for label, value, ann in _run(steps, inverse):
+                assert all(type(ann[k]) is kinds[k] for k in ann), (label, ann)
+                assert ("v1" in ann) == ("v2" in ann)
+                assert all(type(m) is int for m in ann.get("marks", ()))
+                assert _line(label, value, **ann).startswith(f"{label}:")
 
 
-def test_trace_components_agree_with_the_maps():
+def test_trace_blocks_agree_with_the_maps():
     for n in range(6):
         for w in class_a_words(n):
             p = Path(w)
             q = phi(p)
             for x, y, inverse in ((p, q, False), (q, p, True)):
-                traces = trace_components(x, inverse=inverse)
+                blocks = trace_blocks(x, inverse=inverse)
                 parts = [c.path for c in components(x)]
-                assert traces == tuple(trace_one(c, inverse) for c in parts)
-                assert "".join(stages[-1].path for stages in traces) == y.steps
+                assert blocks == [trace_blocks(c, inverse=inverse)[0] for c in parts]
+                assert [comp for comp, _, _ in blocks] == [c.steps for c in parts]
+                assert "".join(image for _, _, image in blocks) == y.steps
 
 
-def test_trace_components_check_like_the_maps():
+def test_trace_blocks_check_like_the_maps():
     for f, bad, inverse in (
         (phi, "UUDDUU", False),
         (phi, "F", False),
@@ -486,11 +478,11 @@ def test_trace_components_check_like_the_maps():
         with pytest.raises(NotInClass) as mapped:
             f(parse_path(bad))
         with pytest.raises(NotInClass) as traced:
-            trace_components(parse_path(bad), inverse=inverse)
+            trace_blocks(parse_path(bad), inverse=inverse)
         assert str(traced.value) == str(mapped.value)
     # The flag is keyword-only: a truthy positional string such as "forward" is refused.
     with pytest.raises(TypeError):
-        trace_components(parse_path("UD"), "forward")
+        trace_blocks(parse_path("UD"), "forward")
 
 
 def _longpath(seed):
@@ -513,8 +505,8 @@ def test_repeated_components_map_like_their_composition():
         assert map_word(p) == q
         assert "".join(map_word(c, True) for c in _parts(q)) == map_word(q, True) == p
         for x, inverse in ((p, False), (q, True)):
-            traces = trace_components(Path(x), inverse=inverse)
-            assert traces == tuple(trace_one(Path(c), inverse) for c in _parts(x))
+            blocks = trace_blocks(Path(x), inverse=inverse)
+            assert blocks == [trace_blocks(Path(c), inverse=inverse)[0] for c in _parts(x)]
 
 
 def test_each_distinct_component_runs_once_per_call(monkeypatch):
@@ -531,13 +523,13 @@ def test_each_distinct_component_runs_once_per_call(monkeypatch):
     assert runs == [("UUFDD", False), ("DU", False)]
     for call in (
         lambda: map_word(q, True),
-        lambda: trace_components(Path(q), inverse=True),
+        lambda: trace_blocks(Path(q), inverse=True),
     ):
         runs.clear()
         call()
         assert runs == [(c, True) for c in dict.fromkeys(_parts(q))]
     runs.clear()
-    trace_components(Path(p))
+    trace_blocks(Path(p))
     assert runs == [("UUFDD", False), ("DU", False)]
     # The memo lives for one call only: a second call runs each component again.
     runs.clear()
@@ -557,7 +549,7 @@ def test_the_first_failing_component_in_word_order_is_reported(monkeypatch):
 
     monkeypatch.setattr(pathbij.bijection, "_run", faulty_run)
     p = "UD" + "UUDD" + "DU" + "UUDD" + "DU"
-    for call in (lambda: map_word(p), lambda: trace_components(Path(p))):
+    for call in (lambda: map_word(p), lambda: trace_blocks(Path(p))):
         with pytest.raises(PathbijError) as exc:
             call()
         assert str(exc.value) == "cannot map UUDD"

@@ -19,10 +19,16 @@ import pathbij.bijection
 import pathbij.cli
 import pathbij.families
 from pathbij import count_class_a_series, count_class_b_series, count_series
-from pathbij.bijection import map_component, map_word, trace_components
+from pathbij.bijection import _run, map_component, map_word
 from pathbij.cli import main
 from pathbij.families import Census, class_a_words, class_b_words, indec_census
-from pathbij.paths import PathbijError, class_a_word, class_b_word, parse_path, step_heights
+from pathbij.paths import (
+    PathbijError,
+    class_a_word,
+    class_b_word,
+    split_components,
+    step_heights,
+)
 
 
 def run(argv, capsys):
@@ -242,32 +248,34 @@ def _longpath(seed):
     return module.generate(seed, 1, 100_000, 1000)[0]
 
 
-def ref_line(stage):
-    """The line of one ``Stage``, as ``Stage.line`` wrote it before it shared ``_line``."""
-    out = f"{stage.label}: {stage.path}".rstrip()
-    if stage.marks:
-        out += " marks=" + ",".join(str(m) for m in sorted(stage.marks))
-    if stage.v1 is not None:
-        out += f" v1={stage.v1} v2={stage.v2}"
-    if stage.w is not None:
-        out += f" w={stage.w}"
+def ref_line(label, steps, ann):
+    """The trace line of one ``_run`` value, written out apart from ``_line``."""
+    out = f"{label}: {steps}".rstrip()
+    if ann.get("marks"):
+        out += " marks=" + ",".join(str(m) for m in sorted(ann["marks"]))
+    if ann.get("v1") is not None:
+        out += f" v1={ann['v1']} v2={ann['v2']}"
+    if ann.get("w") is not None:
+        out += f" w={ann['w']}"
     return out
 
 
 def ref_trace(path, inverse):
     """The exit code and stdout of ``map --trace`` (``unmap`` if inverse), rendered from
-    ``trace_components``' records: per component an optional header and its stage lines,
-    then the image."""
-    try:
-        traces = trace_components(parse_path(path), inverse=inverse)
-    except PathbijError:
+    ``_run``'s values on each of ``split_components``' components: per component an
+    optional header and its stage lines, then the image."""
+    hs = step_heights(path)
+    if not (class_b_word if inverse else class_a_word)(path, hs):
         return 2, ""
-    out = []
-    for i, stages in enumerate(traces):
-        if len(traces) > 1:
-            out.append(f"component {i + 1}: {stages[0].path}")
-        out += map(ref_line, stages)
-    out.append("".join(stages[-1].path for stages in traces))
+    comps = [c for _, c in split_components(path, hs)]
+    out, images = [], []
+    for i, c in enumerate(comps):
+        values = _run(c, inverse)
+        if len(comps) > 1:
+            out.append(f"component {i + 1}: {c}")
+        out += (ref_line(*value) for value in values)
+        images.append(values[-1][1])
+    out.append("".join(images))
     return 0, "".join(line + "\n" for line in out)
 
 
@@ -278,10 +286,15 @@ def _trace_bytes(path, capsys):
 
 def test_trace_bytes_match_the_stage_renderer(capsys):
     # Every word of both classes up to size 5 in both directions: the one in its class
-    # traces, the one outside it exits 2 with nothing printed.
-    for n in range(6):
-        for word in itertools.chain(class_a_words(n), class_b_words(n)):
-            assert _trace_bytes(word, capsys) == [ref_trace(word, False), ref_trace(word, True)]
+    # traces, the one outside it exits 2 with nothing printed.  Then multi-flat, repeated,
+    # size-1 and empty inputs, each with its image, so both verbs trace each of them.
+    words = [w for n in range(6) for w in itertools.chain(class_a_words(n), class_b_words(n))]
+    for p in ["DUUDDDUUUUUDFDD", "DUUUFUDFFDUFFDDUDDUUUFFUUDDFDD", "DUUUFDDDUUUFDD", "UD", ""]:
+        q = map_word(p)
+        assert ref_trace(p, False)[0] == ref_trace(q, True)[0] == 0
+        words += (p, q)
+    for word in words:
+        assert _trace_bytes(word, capsys) == [ref_trace(word, False), ref_trace(word, True)]
 
 
 def test_trace_bytes_of_the_empty_path(capsys):
@@ -298,20 +311,6 @@ def test_trace_bytes_of_a_long_path_match_the_stage_renderer(capsys):
     assert (code, out) == ref_trace(p, False)
     assert out.endswith(f"\n{q}\n")
     assert run(["unmap", "--path", q, "--trace"], capsys)[:2] == ref_trace(q, True)
-
-
-def test_trace_verbs_build_no_stage(capsys, monkeypatch):
-    # Multi-flat, repeated, size-1 and empty inputs, each traced forwards and its image back.
-    paths = ["DUUDDDUUUUUDFDD", "DUUUFUDFFDUFFDDUDDUUUFFUUDDFDD", "DUUUFDDDUUUFDD", "UD", ""]
-    calls = [(verb, w) for p in paths for verb, w in (("map", p), ("unmap", map_word(p)))]
-    expected = [ref_trace(w, verb == "unmap") for verb, w in calls]
-    assert all(code == 0 for code, _ in expected)
-
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a Stage was built")
-
-    monkeypatch.setattr(pathbij.bijection, "Stage", no_stage)
-    assert [run([verb, "--path", w, "--trace"], capsys)[:2] for verb, w in calls] == expected
 
 
 def test_count(capsys):

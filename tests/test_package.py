@@ -1,5 +1,6 @@
 import doctest
 import pathlib
+import re
 
 import pathbij
 import pathbij.bijection
@@ -26,7 +27,6 @@ PUBLIC_NAMES = [
     "Permutation",
     "RangeNotCovered",
     "SizeTooLarge",
-    "Stage",
     "Step",
     "UP",
     "compare_sequence",
@@ -47,17 +47,18 @@ PUBLIC_NAMES = [
     "phi_inverse",
     "rank_signature",
     "render_ascii",
-    "trace_components",
 ]
 
 # Path-object helpers whose work the word-level functions do, the b-file records that
-# wrapped a dict and a match count, and the inverse kernels' domain error, which nothing
-# raised once class membership was checked where the word enters.
+# wrapped a dict and a match count, the inverse kernels' domain error, which nothing
+# raised once class membership was checked where the word enters, and the trace record
+# API, whose values trace_blocks formats straight from _run.
 RETIRED_NAMES = [
     "ComparisonReport",
     "InverseDomainError",
     "Mismatch",
     "SequenceTable",
+    "Stage",
     "count_class_a",
     "count_class_b",
     "enumerate_class_a",
@@ -65,6 +66,7 @@ RETIRED_NAMES = [
     "is_indecomposable",
     "peak_apexes",
     "reflect",
+    "trace_components",
 ]
 
 
@@ -81,6 +83,8 @@ def test_retired_helpers_are_gone():
     for module in (pathbij, pathbij.bijection, pathbij.paths, pathbij.families, pathbij.oeis):
         assert [name for name in RETIRED_NAMES if hasattr(module, name)] == [], module.__name__
     assert not hasattr(pathbij.ComponentView, "paths")
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in RETIRED_NAMES if re.search(rf"`{name}\b", readme)] == []
 
 
 def test_readme_examples_run(monkeypatch):
