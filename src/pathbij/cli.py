@@ -242,13 +242,14 @@ def check_size(
     ``verify`` calls it for n = 0, 1, ... with one list ``failed`` per run, to which it
     appends the components that fail here.  Soundness, by induction over the sizes of a
     run: when sizes 0..n all pass, each enumeration is strictly sorted, as long as its
-    count and holds only size-n members of its class, so it is all of A_n (B_n); each
+    count and holds only size-n members of its class, and ``cmd_verify`` has checked
+    each count against ``count_series`` (derived apart from the step rules the counts
+    share with the enumerators), so it is all of A_n (B_n) and |A_n| = |B_n|; each
     indecomposable of size k <= n passed at size k (a failed one, c, fails each larger
     size, which holds c + UD*(n-k)).  As ``map_word`` joins the components' images
-    (``map_component`` of each), it maps A_n into B_n with a left inverse, and
-    |A_n| = count_a = count_b = |B_n| (``cmd_verify`` checks the middle equality) makes it
-    onto B_n.  One scan per class (``_scan``) checks those premises; the census is tallied
-    per chunk.  The A scan's indecomposables are checked _SCAN_CHUNK at a time, each mapped
+    (``map_component`` of each), it maps A_n into B_n with a left inverse, so onto B_n.
+    One scan per class (``_scan``) checks those premises; the census is tallied per
+    chunk.  The A scan's indecomposables are checked _SCAN_CHUNK at a time, each mapped
     once each way: their images pass ``_joined_test`` with ``class_b_word``, are one
     component each, have a peak just when their words start with U, and map back.  Each
     image must end on ground, so no heights or components leak between them: that is

@@ -11,16 +11,16 @@ never prefixes of each other, so a prefix followed by its sorted tails, taken in
 D < F < U order of prefixes, is ASCII order: the output is duplicate-free and
 sorted by construction.
 
-The count_class_*_series functions answer the same cardinality questions
-without enumeration: a column-by-column dynamic program over path prefixes
-with Python's native big integers.  One walk, ``_series``, serves both
-classes with three live columns (a flatstep spans two), and each class
-supplies only its transitions.  It gives the counts for every size up to a
-bound, and the series returns them all.
+The count_class_*_series functions count the same words without enumerating
+them: ``_series`` walks each class's rule column by column over the width,
+with Python's native big integers and three live columns (a flatstep spans
+two), and gives the count for every size up to a bound.  So the DPs share the
+enumerators' rule and do not stand apart from them.
 
 ``count_series`` computes the common sequence of both classes in O(n)
 big-integer operations from an order-3 recurrence derived from the two
-first-return decompositions; the dynamic programs are its oracles.
+first-return decompositions, independently of the rules.  The DPs are checked
+against it, and each enumerated word against ``class_a_word``/``class_b_word``.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ def _words(start, width: int, moves: Callable) -> Iterator[str]:
             stack.append((prefix + step, nxt, rem - w))
 
 
-def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
-    """All size-n words of class A (every flatstep on y = flat_line), in ASCII order."""
-
+def _a_moves(flat_line: int) -> Callable:
+    """Class A's step rule: every flatstep on y = flat_line."""
     # A prefix at height h can still reach (2n, 0) iff |h| <= rem (parity works out).
     def moves(h: int, rem: int) -> list:
         found = []
@@ -84,7 +83,12 @@ def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
             found.append((UP, h + 1, 1))
         return found
 
-    return _words(0, 2 * n, moves)
+    return moves
+
+
+def class_a_words(n: int, flat_line: int = 2) -> Iterator[str]:
+    """All size-n words of class A (every flatstep on y = flat_line), in ASCII order."""
+    return _words(0, 2 * n, _a_moves(flat_line))
 
 
 def _b_moves(state: tuple[int, bool, bool], rem: int) -> list:
@@ -106,8 +110,8 @@ def class_b_words(n: int) -> Iterator[str]:
     return _words((0, False, False), 2 * n, _b_moves)
 
 
-def _series(max_n: int, start, push: Callable) -> list[int]:
-    """The count of ``start`` at each even column of the DP whose transitions are ``push``."""
+def _series(max_n: int, start, moves: Callable) -> list[int]:
+    """The count of ``start`` at each even column of a DP over the enumerators' ``moves``."""
     if max_n < 0:
         raise ValueError("size must be nonnegative")
     col, nxt, after = {start: 1}, defaultdict(int), defaultdict(int)
@@ -115,39 +119,22 @@ def _series(max_n: int, start, push: Callable) -> list[int]:
     for rem in range(2 * max_n, 0, -1):
         if rem % 2 == 0:
             counts.append(col.get(start, 0))
-        push(col, rem, nxt, after)
+        ahead = (None, nxt, after)
+        for state, c in col.items():
+            for _, child, width in moves(state, rem):
+                ahead[width][child] += c
         col, nxt, after = nxt, after, defaultdict(int)
     return counts + [col.get(start, 0)]
 
 
 def count_class_a_series(max_n: int, flat_line: int = 2) -> list[int]:
     """Exact counts for every size 0..max_n from one DP pass over prefix width and height."""
-
-    def push(col: dict, rem: int, nxt: dict, after: dict) -> None:
-        for h, c in col.items():
-            if abs(h + 1) < rem:
-                nxt[h + 1] += c
-            if abs(h - 1) < rem:
-                nxt[h - 1] += c
-            if h == flat_line and abs(h) <= rem - 2:
-                after[h] += c
-
-    return _series(max_n, 0, push)
-
-
-def _b_push(col: dict, rem: int, nxt: dict, after: dict) -> None:
-    for (h, last_up, peak_used), c in col.items():
-        if h + 1 < rem:
-            nxt[(h + 1, True, peak_used)] += c
-        if h >= 1 and not (last_up and peak_used):
-            nxt[(0, False, False) if h == 1 else (h - 1, False, peak_used or last_up)] += c
-        if h <= rem - 2:
-            after[(h, False, peak_used)] += c
+    return _series(max_n, 0, _a_moves(flat_line))
 
 
 def count_class_b_series(max_n: int) -> list[int]:
     """Exact counts for every size 0..max_n; DP state is (height, last step up, peak used)."""
-    return _series(max_n, (0, False, False), _b_push)
+    return _series(max_n, (0, False, False), _b_moves)
 
 
 def count_series(max_n: int) -> list[int]:

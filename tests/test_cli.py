@@ -743,14 +743,29 @@ def test_verify_fails_when_the_classes_differ_in_size(capsys, monkeypatch):
         series[1] -= 1
         return series
 
-    monkeypatch.setattr(pathbij.cli, "count_class_b_series", short)
-    monkeypatch.setattr(pathbij.cli, "class_b_words", lambda n: list(class_b_words(n))[:1])
-    code, out, _ = run(["verify", "--max-size", "1"], capsys)
-    assert code == 1
-    assert out.splitlines()[1:] == [
-        "n=1: |A|=2 |B|=1 bijection FAILED",
-        "  recurrence count 2 != DP counts 2 (A), 1 (B)",
-    ]
+    b_moves = pathbij.families._b_moves
+
+    def no_ground_flat(state, rem):
+        return [move for move in b_moves(state, rem) if move[0] != "F" or state[0]]
+
+    patches = {
+        "count and enumeration": [
+            (pathbij.cli, "count_class_b_series", short),
+            (pathbij.cli, "class_b_words", lambda n: list(class_b_words(n))[:1]),
+        ],
+        # B's one step rule made short: its enumeration and its DP both walk it.
+        "step rule": [(pathbij.families, "_b_moves", no_ground_flat)],
+    }
+    for label, patch in patches.items():
+        with monkeypatch.context() as m:
+            for target, name, value in patch:
+                m.setattr(target, name, value)
+            code, out, _ = run(["verify", "--max-size", "1"], capsys)
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "n=1: |A|=2 |B|=1 bijection FAILED",
+            "  recurrence count 2 != DP counts 2 (A), 1 (B)",
+        ], label
 
 
 def test_enumerate(capsys):

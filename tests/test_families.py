@@ -135,7 +135,7 @@ def test_enumerate_class_b_matches_brute_force(n):
     assert list(class_b_words(n)) == brute_force(n, in_class_b)
 
 
-@pytest.mark.parametrize("n,flat_line", [(n, k) for n in range(4) for k in (0, 1, 3)])
+@pytest.mark.parametrize("n,flat_line", [(n, k) for n in range(4) for k in (-1, 0, 1, 3)])
 def test_enumerate_flat_line_variants(n, flat_line):
     expected = brute_force(n, lambda p: in_class_a(p, flat_line))
     assert list(class_a_words(n, flat_line)) == expected

@@ -189,9 +189,13 @@ L_SETS = (in_l0, in_l1, in_l2, in_l3, in_l4)
 
 
 def filled(i, s, ann):
-    """An inverse stage's value as a member of L_i.  ``_reverse_interchange`` leaves out the
-    landmarks of L2, which are functions of the word that its next stage does not read."""
-    return (s, landmarks(s)) if i == 2 else (s, ann)
+    """An inverse stage's value as a member of L_i.  ``_reverse_interchange`` gives no
+    annotations: the landmarks of L2 are functions of the word that its next stage does not
+    read, so they are filled in here."""
+    if i != 2:
+        return s, ann
+    assert ann == {}, f"reverse-interchange: {s} {ann}, annotated"
+    return s, landmarks(s)
 
 
 def walks(m, flat_heights, max_peaks):
@@ -255,11 +259,11 @@ def check_stage(i, row, max_m):
     for m in range(1, max_m + 1):
         source, target = members(i, m), members(i + 1, m)
         assert len(source) == len(target) == math.comb(2 * m - 1, m), (label, m)
-        target_keys = {(s, *ann.values()) for s, ann in target}
+        target_keys = {(s, frozenset(ann.items())) for s, ann in target}
         images = set()
         for x in source:
             t, t_ann = forward(*x)
-            images.add(key := (t, *t_ann.values()))
+            images.add(key := (t, frozenset(t_ann.items())))
             assert key in target_keys, f"{label}: {x} -> {t} {t_ann}, outside L{i + 1}"
             back = filled(i, *inverse(t, t_ann))
             assert back == x, f"{label}/{inverse_label}: {x} -> {t} {t_ann} -> {back}"
