@@ -9,15 +9,16 @@ child's other entries are its parent's, so per length each call enumerates all
 children's rows of positions, each with the interval of sites its rise kills,
 straight into one table in the parent's coordinates: one pass of comparisons
 gives every child's live sites, and the avoiders of [m - 1] are counted from
-them, never built.  What sites children inherit hangs on the length and the
-parent's live sites only, so a call spreads each mask once, into a dict per
-length; both die with the call, as a table does not name its patterns.
+them, never built.  A level's table hangs on its length and the pattern set
+only, so a process keeps it, keyed by both, in a cache of ``MAX_EXHAUSTIVE``
+tables; what sites a child inherits hangs on the length and the parent's live
+sites only, so a process spreads each mask once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations, compress
 from operator import itemgetter, lt, or_
 from typing import Iterable, Sequence
@@ -114,7 +115,7 @@ def _reads(table: tuple) -> tuple:
     # The table with its positions as getters, so a node reads each list of values in one call.
     # Two leading (0, 0) pairs, which never rise, keep a getter's result a tuple at 0 or 1 pairs.
     firsts, seconds, masks, always, rows = table
-    rows = [(mask, itemgetter(*a), itemgetter(*b)) for mask, a, b in rows]  # >= 2 entries each
+    rows = tuple((mask, itemgetter(*a), itemgetter(*b)) for mask, a, b in rows)  # >= 2 entries each
     return itemgetter(0, 0, *firsts), itemgetter(0, 0, *seconds), (0, 0, *masks), always, rows
 
 
@@ -129,15 +130,18 @@ def _live(perm: Permutation, reads: tuple, sites: int) -> int:
     return live
 
 
-def _children(k: int, shapes: tuple[list, list]) -> tuple:
+@lru_cache(maxsize=MAX_EXHAUSTIVE)
+def _children(k: int, pats: frozenset) -> tuple:
     # The tables of all k + 1 children of an avoider of [k] as one, on the parent: child s (k + 1
     # at s) never reads s, reads its p at the parent's p - (p > s), has sites from s * (k + 2).
-    return _reads(_table(k + 1, range(k + 1), shapes, 1))
+    return _reads(_table(k + 1, range(k + 1), _shapes(pats), 1))
 
 
+@cache
 def _spread(k: int, live: int) -> int:
     # The sites each child of an avoider of [k] with live sites `live` inherits, packed as
     # _children's table has them: dead sites stay dead, s splits in two, sites from s move up.
+    # The cache holds at most 2 ** (k + 1) masks per level, for k < MAX_EXHAUSTIVE - 1.
     lives = [s for s in range(k + 1) if live >> s & 1]
     return sum((live & (2 << s) - 1 | live >> s << s + 1) << s * (k + 2) for s in lives)
 
@@ -167,22 +171,19 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     # picks the segments of perm the other entries come from.  Per pattern, keyed by
     # that side, _shapes gives how many entries lie before, between and after the two
     # largest, and the value order of those entries.
-    shapes = _shapes(pats)
-    # The live sites of [1] for 2.  Tables do not name the patterns, so they live for one call.
-    live = _live((1,), _reads(_table(1, [0], shapes)), 0b11)
+    # Level k's table is shared by every call on pats.  Level 0's, [1]'s for 2, reads no
+    # entry but its two (0, 0) pairs, so [1] stands in for the empty parent.
+    children = [_children(k, pats) for k in range(m - 1)]
+    live, count = _live((1,), children[0], 0b11), 0  # the live sites of [1] for 2
     if m == 2:
         return live.bit_count()
-    children = [None] + [_children(k, shapes) for k in range(1, m - 1)]
-    spread, count = [{} for _ in range(m - 1)], 0  # spread[k]: live -> _spread(k, live)
     # An avoider of [k] with a live site for k + 1, and the bitmask of its live sites.  One
     # pass tests all its children: child s's live sites are bits s * (k + 2) up of the result.
     stack = [((1,), live)]
     while stack:
         perm, live = stack.pop()
         k = len(perm)
-        if (packed := spread[k].get(live)) is None:
-            packed = spread[k][live] = _spread(k, live)
-        packed = _live(perm, children[k], packed)
+        packed = _live(perm, children[k], _spread(k, live))
         if k + 2 == m:
             count += packed.bit_count()
             continue

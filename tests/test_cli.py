@@ -1031,6 +1031,17 @@ def test_perms(capsys):
     assert code == 2
 
 
+def test_perms_in_one_process_keeps_each_pattern_sets_tables_apart(capsys):
+    # Each run shares the process's avoider tables with the runs before it.
+    for argv, count in [
+        (["--n", "9"], 20626),
+        (["--n", "9", "--patterns", "1342"], 91245),
+        (["--n", "8", "--patterns", "4321"], 15767),
+        (["--n", "9"], 20626),
+    ]:
+        assert run(["perms", *argv], capsys) == (0, f"{count}\n", ""), argv
+
+
 def test_perms_rejects_non_ascii_digits(capsys):
     code, out, err = run(["perms", "--n", "4", "--patterns", "\u0663\u0662\u0664\u0661"], capsys)
     assert (code, out) == (2, "")

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import combinations, compress
 from operator import lt, or_
@@ -390,7 +391,7 @@ def test_packed_children_match_each_childs_own_table(patterns):
     level = [(1,)]
     for k in range(1, 8):
         full = (1 << k + 2) - 1
-        reads, sites = _children(k, shapes), sum(full << s * (k + 2) for s in range(k + 1))
+        reads, sites = _children(k, pats), sum(full << s * (k + 2) for s in range(k + 1))
         tables = [_reads(_table(k + 1, [s], shapes)) for s in range(k + 1)]
         for perm in level:
             packed = _live(perm, reads, sites)
@@ -453,7 +454,7 @@ def test_default_tree_follows_wests_three_label_rule():
     level = {(1,): _live((1,), _reads(_table(1, [0], shapes)), 0b11)}
     labels, kids = {}, {}
     for k in range(1, 10):
-        reads, after = _children(k, shapes), {}
+        reads, after = _children(k, frozenset(DEFAULT_PATTERNS)), {}
         for perm, live in level.items():
             kids[perm] = _children_live(perm, live, reads)
             after.update(kids[perm])
@@ -478,9 +479,9 @@ def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
     assert count_avoiders(9) == ref_count_avoiders(9) == 20626
 
 
-def test_position_tables_do_not_outlive_a_call():
+def test_shared_position_tables_are_keyed_by_pattern_set():
     # The pattern sets below tabulate other positions under the same lengths, so
-    # tables shared across calls would count the later sets wrongly.
+    # tables shared across calls but not keyed by the set would count the later sets wrongly.
     sets = [DEFAULT_PATTERNS, MIXED_LENGTHS, LENGTH_FIVE_SETS[-1]]
     expected = [
         sum(
@@ -495,8 +496,9 @@ def test_position_tables_do_not_outlive_a_call():
 
 
 def test_position_tables_are_freed_without_the_collector():
-    # The tables are local to each call and in no reference cycle, so they go when
-    # the call returns, not at the next collection.
+    # A warm call builds no table and leaves nothing behind, and the cached tables hold
+    # no reference cycle, so what a call allocates goes when it returns, not at the next
+    # collection.
     gc.disable()
     try:
         tracemalloc.start()
@@ -518,3 +520,28 @@ def test_position_tables_are_freed_without_the_collector():
         gc.enable()
     assert left - start <= 4096
     assert peak - start <= 64_000
+
+
+def test_each_level_table_is_built_once_per_pattern_set():
+    _children.cache_clear()
+    assert [count_avoiders(m) for m in range(1, 9)] == [1, 2, 6, 21, 79, 309, 1237, 5026]
+    assert _children.cache_info().misses == 7  # levels 0..6, each built by its first call
+    assert count_avoiders(9) == 20626
+    assert _children.cache_info().misses == 8
+    assert count_avoiders(9, ((1, 3, 4, 2),)) == 91245
+    info = _children.cache_info()
+    assert info.maxsize == MAX_EXHAUSTIVE and info.currsize <= MAX_EXHAUSTIVE
+    # What callers share holds no list or dict a caller could change in place.
+    firsts, seconds, masks, always, rows = _children(7, frozenset({(1, 3, 4, 2)}))
+    assert type(masks) is type(rows) is tuple and all(type(row) is tuple for row in rows)
+
+
+def test_concurrent_callers_count_as_sequential_ones():
+    # Three sets share the bounded cache, so threads build, read and evict one another's tables.
+    sets = [DEFAULT_PATTERNS, ((1, 3, 4, 2),), MIXED_LENGTHS]
+    jobs = [(m, pats) for m in range(5, 9) for pats in sets] * 2
+    _children.cache_clear()
+    expected = [count_avoiders(m, pats) for m, pats in jobs]
+    _children.cache_clear()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(count_avoiders, *zip(*jobs))) == expected
