@@ -14,6 +14,14 @@ for that child alone (kilobytes on Linux).  Prints one line: the run count,
 the median wall, the range of walls and the largest peak RSS.  Stops with
 exit code 1 at the first child that exits nonzero, so a failing ``verify``
 gives no wall.
+
+With ``--tree DIR``, each repeat runs one child of this checkout, then one of
+the tree at DIR (e.g. an older commit exported with ``git archive``), so both
+are measured in the same stretch of time; it prints one line per tree, each
+starting with the tree's directory:
+
+    mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 scripts/verify_walls.py --max-size 10 --census --tree /tmp/parent
 """
 
 from __future__ import annotations
@@ -43,25 +51,36 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-size", type=int, required=True)
     parser.add_argument("--census", action="store_true")
     parser.add_argument("--repeats", type=int, default=5, help="child runs (default 5)")
+    parser.add_argument(
+        "--tree", type=pathlib.Path, help="another source tree to alternate runs with"
+    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.tree is not None and not (args.tree / "src" / "pathbij").is_dir():
+        parser.error(f"--tree: no src/pathbij in {args.tree}")
+    trees = [ROOT] if args.tree is None else [ROOT, args.tree.resolve()]
     verb = ["verify", "--max-size", str(args.max_size)] + ["--census"] * args.census
     child = [sys.executable, "-m", "pathbij.cli", *verb]
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    walls, rss = [], []
+    envs = []
+    for tree in trees:
+        path = [str(tree / "src"), os.environ.get("PYTHONPATH", "")]
+        envs.append(dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    walls, rss = [[] for _ in trees], [[] for _ in trees]
     for _ in range(args.repeats):
-        code, wall, peak = run_child(child, env)
-        if code != 0:
-            print(f"error: {' '.join(verb)} exited {code}", file=sys.stderr)
-            return 1
-        walls.append(wall)
-        rss.append(peak)
-    print(
-        f"{' '.join(verb)}: {len(walls)} runs, median {statistics.median(walls):.3f} s, "
-        f"range {min(walls):.3f}-{max(walls):.3f} s, peak RSS {max(rss):.1f} MB"
-    )
+        for k, env in enumerate(envs):
+            code, wall, peak = run_child(child, env)
+            if code != 0:
+                print(f"error: {' '.join(verb)} exited {code}", file=sys.stderr)
+                return 1
+            walls[k].append(wall)
+            rss[k].append(peak)
+    for tree, w, r in zip(trees, walls, rss):
+        label = f"{tree}: " if args.tree else ""
+        print(
+            f"{label}{' '.join(verb)}: {len(w)} runs, median {statistics.median(w):.3f} s, "
+            f"range {min(w):.3f}-{max(w):.3f} s, peak RSS {max(r):.1f} MB"
+        )
     return 0
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from operator import add
+from operator import add, indexOf
 from typing import Callable
 
 from .paths import (
@@ -47,6 +47,7 @@ from .paths import (
     FLAT,
     MIRROR,
     PEAK,
+    RISE_BYTES,
     UP,
     Path,
     PathbijError,
@@ -113,6 +114,9 @@ def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
     # within them, and v2, g's last upstep to ground, ends the last one.
     # Flipped components come in runs; with each mark raised to 1, a run ends
     # at the next vertex at 0, and the next run starts at the next mark.
+    # With the marks raised, heights still move by at most 1, so v1 climbs:
+    # the first vertex one higher than v1 is the leftmost one that high, and
+    # a vertex at height h is at least h steps before the run's end.
     hs, marks = step_heights(s), sorted(ann["marks"])
     for m in marks:
         hs[m] = 1
@@ -121,9 +125,12 @@ def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
         end = hs.index(0, start + 1)
         parts += (s[v2:start], mirrored[start:end])
         if end - start > 2 * hs[v1]:  # a run of 2h steps rises at most h
-            top = max(hs[start:end])
-            if top > hs[v1]:
-                v1 = hs.index(top, start + 1)  # from start + 1: a raised mark reads 1
+            p = start + 1
+            try:
+                while end - p > hs[v1]:
+                    v1 = p = hs.index(hs[v1] + 1, p, end)
+            except ValueError:
+                pass
         v2 = end
         i = bisect_left(marks, end, i)
         if i == len(marks):
@@ -134,21 +141,20 @@ def _flip_marked(s: str, ann: dict) -> tuple[str, dict]:
 
 
 def _recover_marks(g: str, _: dict) -> tuple[str, dict]:
-    # A run of below-ground components ends one vertex before the next vertex
-    # at 1, and the next run starts one vertex before the next vertex at -1;
-    # mirror each run back above ground.  Its ground vertices start its
-    # components, the marks.  The sentinels end both searches past the word.
+    # A run of below-ground components starts one vertex before the next vertex
+    # at -1; mirror each run back above ground.  Its ground vertices followed
+    # by D start its components, the marks, and the first one followed by U
+    # ends it.  The sentinels end both the run and the search past the word.
     n, hs = len(g), step_heights(g)
     hs += (1, -1)
     mirrored, parts, marks, start, end = g.translate(MIRROR), [], [], 0, 0
     while start < n:
         parts.append(g[end:start])
-        end = hs.index(1, start) - 1
+        end = start
+        while hs[end + 1] < 0:
+            marks.append(end)
+            end = hs.index(0, end + 1)
         parts.append(mirrored[start:end])
-        m = start
-        while m < end:
-            marks.append(m)
-            m = hs.index(0, m + 1)
         start = hs.index(-1, end) - 1
     parts.append(g[end:])
     return "".join(parts), {"marks": frozenset(marks[1:])}
@@ -162,8 +168,12 @@ def _interchange(g: str, ann: dict) -> tuple[str, dict]:
 
 
 def _reverse_interchange(d: str, ann: dict) -> tuple[str, dict]:
+    # z is the first return to ground after the apex w: the heights from w,
+    # accumulated lazily from w's height (d is flat-free, so 2 * ups - w), are
+    # read no further than z.
     w = ann["w"]
-    z = step_heights(d).index(0, w + 1)
+    rises = memoryview(d.encode().translate(RISE_BYTES)).cast("b")[w:]
+    z = w + indexOf(accumulate(rises, initial=2 * d.count(UP, 0, w) - w), 0)
     return d[w:z] + d[:w] + d[z:], {}
 
 

@@ -26,7 +26,7 @@ DOWN: Step = "D"
 
 _RISE = {UP: 1, FLAT: 0, DOWN: -1}
 # Byte -> its step's rise as a signed byte; every other byte -> 0x80, which no rise takes.
-_RISE_BYTES = bytes(_RISE.get(chr(b), -128) & 0xFF for b in range(256))
+RISE_BYTES = bytes(_RISE.get(chr(b), -128) & 0xFF for b in range(256))
 
 PEAK = UP + DOWN  # a peak is a UD factor
 MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
@@ -55,7 +55,7 @@ def step_heights(steps: str) -> list[int]:
     Raises ``KeyError`` naming the first character outside U/F/D.
     """
     # surrogatepass: a lone surrogate encodes to bytes >= 0x80 instead of raising.
-    rises = steps.encode("utf-8", "surrogatepass").translate(_RISE_BYTES)
+    rises = steps.encode("utf-8", "surrogatepass").translate(RISE_BYTES)
     if 0x80 in rises:  # every byte of a non-ASCII character is >= 0x80, so maps there too
         raise KeyError(next(c for c in steps if c not in _RISE))
     return [0, *accumulate(memoryview(rises).cast("b"))]

@@ -5,7 +5,8 @@ versions of the kernels in ``pathbij.bijection`` and the word functions in
 ``pathbij.paths``: a loop over characters for ``_expand_flats``, one
 ``split_components`` part and one ``translate`` per component for
 ``_flip_marked`` and ``_recover_marks``, one slice per mark for
-``_contract_marks``, a slice copy per peak pair for ``class_b_word``, a
+``_contract_marks``, the whole word's heights for ``_reverse_interchange``,
+a slice copy per peak pair for ``class_b_word``, a
 zero count for ``split_components`` and a dict lookup per character for
 ``step_heights``.  Every output and annotation must agree, on every
 component up to size 8, on runs of flipped components and on long seeded
@@ -35,6 +36,7 @@ from pathbij.bijection import (
     _flip_marked,
     _interchange,
     _recover_marks,
+    _reverse_interchange,
     _run,
     map_word,
 )
@@ -107,12 +109,19 @@ def ref_recover_marks(g, _):
     return "".join(out), {"marks": frozenset(marks)}
 
 
+def ref_reverse_interchange(d, ann):
+    w = ann["w"]
+    z = step_heights(d).index(0, w + 1)
+    return d[w:z] + d[:w] + d[z:], {}
+
+
 # Each rewritten kernel, keyed by the label of the value it produces in ``_run``.
 REFERENCES = {
     "expand-flats": (_expand_flats, ref_expand_flats),
     "contract-marks": (_contract_marks, ref_contract_marks),
     "flip-components": (_flip_marked, ref_flip_marked),
     "recover-marks": (_recover_marks, ref_recover_marks),
+    "reverse-interchange": (_reverse_interchange, ref_reverse_interchange),
 }
 
 
@@ -300,7 +309,7 @@ def test_every_component_up_to_size_8_matches_the_references():
     assert sorted(images) == sorted(b_components)  # A's components map onto B's
     for q in b_components:
         _, checked = check_against_references(q, inverse=True)
-        assert checked == (2 if "UD" in q and len(q) > 2 else 0)
+        assert checked == (3 if "UD" in q and len(q) > 2 else 0)
 
 
 @pytest.mark.parametrize("length", range(8))
@@ -347,6 +356,9 @@ RUN_CASES = [
     ("UFUUDDFD" + "UUDD" + "UD" + "UFFD" + "UUUDDD" + "UFUDFD" + "UD", [3, 2, 2], False),
     ("UUDD" + "UFFD" + "UD" + "UFUUUDDDFD", [1, 2, 2], True),
     ("UUUDDD" + "UFD" + "UUDD" + "UFD", [1, 1, 1], True),  # later runs too short to rise higher
+    ("UUDD" + "UD" + "UFUDFUUDDD", [1, 2], True),  # the later run rises higher: v1 moves there
+    ("UUDD" + "UD" + "UFUDFD", [1, 2], True),  # the later run only ties: the leftmost v1 stays
+    ("UUDD" + "UD" + "UFD", [1, 1], True),  # the word ends one component after the last mark
 ]
 
 
@@ -359,6 +371,17 @@ def test_flip_and_recover_match_the_references_on_runs(inner, sizes, last_ends_w
     g, g_ann = _flip_marked(s, ann)
     assert (g, g_ann) == ref_flip_marked(s, ann)
     assert _recover_marks(g, g_ann) == ref_recover_marks(g, g_ann) == (s, ann)
+
+
+@pytest.mark.parametrize("g,s,marks", [
+    ("DU", "UD", set()),
+    ("DUDU", "UDUD", {2}),
+    ("DUUDDU", "UDUDUD", {4}),
+    ("DUUDDUDU", "UDUDUDUD", {4, 6}),
+])
+def test_recover_marks_ends_a_run_at_the_end_of_the_word(g, s, marks):
+    # The last run ends the word after its last mark: the sentinel ends its walk.
+    assert _recover_marks(g, {}) == ref_recover_marks(g, {}) == (s, {"marks": frozenset(marks)})
 
 
 def test_recover_marks_matches_the_reference_on_every_word_up_to_length_10():
@@ -448,7 +471,7 @@ def test_long_components_match_the_references(seed):
     assert checked == 2
     q = forward[-1][1]
     backward, checked = check_against_references(q, inverse=True)
-    assert checked == 2
+    assert checked == 3
     assert backward[-1][1] == c
     # A long path of such components with long below-ground (flat-free) ones among them.
     below = "D" + _dyck(random.Random(seed), 5_000).translate(MIRROR) + "U"

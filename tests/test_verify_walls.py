@@ -37,3 +37,24 @@ def test_verify_walls_fails_when_verify_fails():
         "pathbij verify: error: argument --max-size: must be nonnegative, not -1",
         "error: verify --max-size -1 --census exited 2",
     ]
+
+
+def test_verify_walls_alternates_two_trees():
+    # This checkout given as the other tree too: one line per tree, each with its own runs.
+    root = SCRIPT.parent.parent
+    done = walls("--max-size", "3", "--repeats", "2", "--tree", str(root))
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert re.fullmatch(
+            re.escape(f"{root}: verify --max-size 3: 2 runs, median ")
+            + r"\S+ s, range \S+-\S+ s, peak RSS \S+ MB",
+            line,
+        ), line
+
+
+def test_verify_walls_rejects_a_tree_without_the_package(tmp_path):
+    done = walls("--max-size", "1", "--tree", str(tmp_path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith(f"error: --tree: no src/pathbij in {tmp_path}\n")
