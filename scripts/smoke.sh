@@ -37,6 +37,9 @@ test "$(python -m pathbij.cli perms --n 9 --patterns 12345,2143)" = 60470
 # (A047890), then beside the three-entry rows of a length-5 pattern.
 test "$(python -m pathbij.cli perms --n 9 --patterns 654321)" = 344837
 test "$(python -m pathbij.cli perms --n 9 --patterns 135264,24153)" = 259401
+# Three-entry rows that many children read at the same parent positions, each kept once
+# (brute force gives 2237 at n = 7).
+test "$(python -m pathbij.cli perms --n 9 --patterns 1342,34251,35421)" = 50090
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD)" = FUDUFDUUFUDDD
 test "$(python -m pathbij.cli unmap --path FUDUFDUUFUDDD)" = DUUDDDUUUUUDFDD
 test "$(python -m pathbij.cli map --path DUUDDDUUUUUDFDD --trace | tail -1)" = FUDUFDUUFUDDD

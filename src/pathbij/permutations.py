@@ -5,14 +5,12 @@ inserting each new maximum wherever it completes no occurrence (a generating
 tree, West 1995): an oracle deliberately independent of the path counters it
 cross-checks, capped at ``MAX_EXHAUSTIVE`` elements.  Only sites live in the
 parent are tested, and only against occurrences through the newest entry.  A
-child's other entries are its parent's, so per length each call enumerates all
-children's rows of positions, each with the interval of sites its rise kills,
-straight into one table in the parent's coordinates: one pass of comparisons
-gives every child's live sites, and the avoiders of [m - 1] are counted from
-them, never built.  A level's table hangs on its length and the pattern set
-only, so a process keeps it, keyed by both, in a cache of ``MAX_EXHAUSTIVE``
-tables; what sites a child inherits hangs on the length and the parent's live
-sites only, so a process spreads each mask once.
+child's other entries are its parent's, so per length one table holds the rows
+of positions of all of a parent's children in its coordinates, each row once,
+with the sites its rise kills: one pass of comparisons on the parent gives every
+child's live sites, and the avoiders of [m - 1] are counted from them, never
+built.  A process keeps each length's table, keyed by the pattern set too, in a
+cache of ``MAX_EXHAUSTIVE`` tables, and spreads each live-site mask once.
 """
 
 from __future__ import annotations
@@ -84,39 +82,41 @@ def _shapes(pats: Iterable[Permutation]) -> tuple[list, list]:
     return shapes
 
 
-def _table(k: int, qs: Sequence[int], shapes: tuple[list, list], d: int = 0) -> tuple:
-    # The positions of the other entries of an occurrence through k (at q) and a new maximum
-    # at site t, in value order: a row, which kills t if its values rise.  A row is built once,
-    # for the interval of sites t that have j of its positions s on t's side of k before t and
-    # n after (m more lie on k's other side).  Pair rows map to site bitmasks; shorter ones
-    # kill their sites always; longer ones keep pairs.  The tables of all q in qs share one,
-    # q's sites from bit (q - qs[0]) * (k + 1); with d = 1, positions after q read one lower.
-    pairs, always, rows, sides = {}, 0, [], []
-    for q in qs:
-        shift, lo, hi = (q - qs[0]) * (k + 1), q + 1 - d, k - d
-        sides += (True, 0, q, range(lo, hi), shift), (False, lo, hi, range(q), shift + d)
-    for right, start, stop, other, up in sides:
-        for counts, order in shapes[right]:
-            j, n, m = counts if right else (counts[1], counts[2], counts[0])
-            for s in combinations(range(start, stop), j + n):
-                sites = (2 << (s[j] if n else stop)) - (1 << (s[j - 1] + 1 if j else start)) << up
-                for o in combinations(other, m):
-                    row = tuple(map((s + o if right else o + s).__getitem__, order))
-                    if len(row) < 2:
-                        always |= sites  # no value order to break
-                    elif len(row) == 2:
-                        pairs[row] = pairs.get(row, 0) | sites
-                    else:
-                        rows.append((sites, row[:-1], row[1:]))
-    return [a for a, _ in pairs], [b for _, b in pairs], list(pairs.values()), always, rows
+def _table(k: int, shapes: tuple[list, list]) -> tuple:
+    # The table of all k + 1 children of an avoider of [k] as one, on the parent: child q (k + 1
+    # at q) never reads q, reads its p at the parent's p - (p > q), has sites from q * (k + 2).
+    # The positions of the other entries of an occurrence through k + 1 and a new maximum at
+    # site t, in value order: a row, which kills t if its values rise.  A row is built once, for
+    # the interval of sites t that have j of its positions s on t's side of q before t and n
+    # after (m more lie on q's other side).  Rows of 2 or more positions map to one site
+    # bitmask, however many children read them; shorter ones kill their sites always.
+    rows, always = {}, 0
+    for q in range(k + 1):
+        sides = (True, 0, q, range(q, k), q * (k + 2)), (False, q, k, range(q), q * (k + 2) + 1)
+        for right, start, stop, other, up in sides:
+            for counts, order in shapes[right]:
+                j, n, m = counts if right else (counts[1], counts[2], counts[0])
+                for s in combinations(range(start, stop), j + n):
+                    lo = s[j - 1] + 1 if j else start
+                    sites = (2 << (s[j] if n else stop)) - (1 << lo) << up
+                    for o in combinations(other, m):
+                        row = tuple(map((s + o if right else o + s).__getitem__, order))
+                        if len(row) < 2:
+                            always |= sites  # no value order to break
+                        else:
+                            rows[row] = rows.get(row, 0) | sites
+    return rows, always
 
 
 def _reads(table: tuple) -> tuple:
-    # The table with its positions as getters, so a node reads each list of values in one call.
-    # Two leading (0, 0) pairs, which never rise, keep a getter's result a tuple at 0 or 1 pairs.
-    firsts, seconds, masks, always, rows = table
-    rows = tuple((mask, itemgetter(*a), itemgetter(*b)) for mask, a, b in rows)  # >= 2 entries each
-    return itemgetter(0, 0, *firsts), itemgetter(0, 0, *seconds), (0, 0, *masks), always, rows
+    # The table with its positions as getters, so a node reads each list of values in one call:
+    # pair rows as two getters beside their masks, each longer row as its own two getters.  Two
+    # leading (0, 0) pairs, which never rise, keep a getter's result a tuple at 0 or 1 pairs.
+    rows, always = table
+    pairs = ((*r, m) for r, m in rows.items() if len(r) == 2)
+    firsts, seconds, masks = zip((0, 0, 0), (0, 0, 0), *pairs)
+    longer = tuple((m, itemgetter(*r[:-1]), itemgetter(*r[1:])) for r, m in rows.items() if r[2:])
+    return itemgetter(*firsts), itemgetter(*seconds), masks, always, longer
 
 
 def _live(perm: Permutation, reads: tuple, sites: int) -> int:
@@ -132,15 +132,13 @@ def _live(perm: Permutation, reads: tuple, sites: int) -> int:
 
 @lru_cache(maxsize=MAX_EXHAUSTIVE)
 def _children(k: int, pats: frozenset) -> tuple:
-    # The tables of all k + 1 children of an avoider of [k] as one, on the parent: child s (k + 1
-    # at s) never reads s, reads its p at the parent's p - (p > s), has sites from s * (k + 2).
-    return _reads(_table(k + 1, range(k + 1), _shapes(pats), 1))
+    return _reads(_table(k, _shapes(pats)))
 
 
 @cache
 def _spread(k: int, live: int) -> int:
     # The sites each child of an avoider of [k] with live sites `live` inherits, packed as
-    # _children's table has them: dead sites stay dead, s splits in two, sites from s move up.
+    # _table packs them: dead sites stay dead, s splits in two, sites from s move up.
     # The cache holds at most 2 ** (k + 1) masks per level, for k < MAX_EXHAUSTIVE - 1.
     lives = [s for s in range(k + 1) if live >> s & 1]
     return sum((live & (2 << s) - 1 | live >> s << s + 1) << s * (k + 2) for s in lives)
@@ -152,7 +150,10 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
         raise ValueError("m must be nonnegative")
     if m > MAX_EXHAUSTIVE:
         raise SizeTooLarge(f"m={m} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
-    pats = frozenset(rank_signature(p) for p in patterns)
+    patterns = [tuple(p) for p in patterns]
+    if repeated := next((p for p in patterns if len(set(p)) < len(p)), None):
+        raise ValueError(f"pattern {repeated} repeats a value")
+    pats = frozenset(map(rank_signature, patterns))
     if not pats:
         return math.factorial(m)
     # A pattern of k < 2 entries occurs in every permutation of k or more elements.
@@ -171,8 +172,7 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
     # picks the segments of perm the other entries come from.  Per pattern, keyed by
     # that side, _shapes gives how many entries lie before, between and after the two
     # largest, and the value order of those entries.
-    # Level k's table is shared by every call on pats.  Level 0's, [1]'s for 2, reads no
-    # entry but its two (0, 0) pairs, so [1] stands in for the empty parent.
+    # Level 0's table, [1]'s for 2, reads no entry but its (0, 0) pairs: [1] stands in for ().
     children = [_children(k, pats) for k in range(m - 1)]
     live, count = _live((1,), children[0], 0b11), 0  # the live sites of [1] for 2
     if m == 2:

@@ -4,9 +4,8 @@ import math
 import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
-from itertools import combinations, compress
-from operator import lt, or_
+from itertools import combinations
+from operator import lt
 
 import pytest
 
@@ -166,6 +165,13 @@ def test_count_avoiders_bound():
         count_avoiders(-1)
 
 
+@pytest.mark.parametrize("pattern", [(1, 1), (2, 2, 1), [3, 1, 3]], ids=["11", "221", "313"])
+def test_count_avoiders_rejects_a_pattern_with_repeated_values(pattern):
+    with pytest.raises(ValueError) as error:
+        count_avoiders(4, [(1, 2), pattern])
+    assert str(error.value) == f"pattern {tuple(pattern)} repeats a value"
+
+
 # Published counts for m = 0..9, beyond the reach of the containment scan.
 LITERATURE = {
     (4, 3, 2, 1): [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359],  # A047889
@@ -256,23 +262,6 @@ def test_count_avoiders_matches_the_occurrence_search(patterns):
 WALKED_SETS = [pats for pats in REFERENCE_SETS if pats and min(map(len, pats)) >= 2]
 
 
-@pytest.mark.parametrize("patterns", WALKED_SETS, ids=map(_patterns_id, WALKED_SETS))
-def test_dead_sites_match_the_occurrence_search_node_by_node(patterns):
-    # At every avoider of [k], k <= 6, with k at q, the table marks site t dead exactly
-    # when a new maximum at t completes an occurrence through k: the pair masks, the
-    # always-dead mask and the longer rows, checked one node at a time.
-    pats = frozenset(rank_signature(p) for p in patterns)
-    shapes, chains = _shapes(pats), ref_shapes(pats)
-    for k in range(1, 7):
-        for perm in itertools.permutations(range(1, k + 1)):
-            if any(contains_pattern(perm, p) for p in pats):
-                continue
-            q = perm.index(k)
-            live = _live(perm, _reads(_table(k, [q], shapes)), (1 << (k + 1)) - 1)
-            for t in range(k + 1):
-                assert (not live >> t & 1) == ref_completes(perm, q, t, chains), (perm, t)
-
-
 MIXED_LENGTH_SETS = _random_pattern_sets(20, seed=11, sizes=(1, 3), lengths=(2, 5))
 
 
@@ -312,14 +301,26 @@ def ref_table(k: int, q: int, shapes: tuple[list, list]) -> tuple:
 
 
 def _merged(table):
-    # A table as three maps: pair -> sites, the always-dead sites, longer row -> sites.
+    # ref_table's output in _table's form: each row of 2 or more positions -> the sites it
+    # kills, and the always-dead sites.
     firsts, seconds, masks, always, rows = table
-    pairs, longer = {}, {}
-    for pair, sites in zip(zip(firsts, seconds), masks):
-        pairs[pair] = pairs.get(pair, 0) | sites
-    for sites, a, b in rows:
-        longer[a + b[-1:]] = longer.get(a + b[-1:], 0) | sites
-    return pairs, always, longer
+    merged = {}
+    for row, sites in [*zip(zip(firsts, seconds), masks), *((a + b[-1:], m) for m, a, b in rows)]:
+        merged[row] = merged.get(row, 0) | sites
+    return merged, always
+
+
+def ref_packed(k, shapes):
+    # The table of all k + 1 children of an avoider of [k] from each child's own ref_table,
+    # remapped to the parent: child s reads its p at p - (p > s), has sites from s * (k + 2).
+    rows, always = {}, 0
+    for s in range(k + 1):
+        own, dead = _merged(ref_table(k + 1, s, shapes))
+        always |= dead << s * (k + 2)
+        for row, sites in own.items():
+            row = tuple(p - (p > s) for p in row)
+            rows[row] = rows.get(row, 0) | sites << s * (k + 2)
+    return rows, always
 
 
 # Length-6 patterns give rows of four entries, which no set above has.
@@ -334,46 +335,58 @@ TABLE_SETS = [
 @pytest.mark.parametrize("patterns", TABLE_SETS, ids=map(_patterns_id, TABLE_SETS))
 def test_tables_match_the_per_site_construction(patterns):
     shapes = _shapes(frozenset(rank_signature(p) for p in patterns))
-    for k in range(1, 9):
-        for q in range(k):
-            assert _merged(_table(k, [q], shapes)) == _merged(ref_table(k, q, shapes)), (k, q)
+    for k in range(8):
+        assert _table(k, shapes) == ref_packed(k, shapes), k
 
 
 def test_length_six_sets_reach_four_entry_rows():
     shapes = _shapes(frozenset(LENGTH_SIX_SETS[0]))
-    rows = [row for k in range(1, 9) for q in range(k) for row in _table(k, [q], shapes)[4]]
-    assert any(len(a) == 3 for _, a, _ in rows)
+    assert any(len(row) == 4 for k in range(8) for row in _table(k, shapes)[0])
+
+
+def test_children_reading_the_same_positions_share_one_row():
+    # 1342 gives pair rows, 34251 and 35421 three-entry rows, which many children read at the
+    # same parent positions; each is kept once, with the union of its children's sites.
+    pats = frozenset({(1, 3, 4, 2), (3, 4, 2, 5, 1), (3, 5, 4, 2, 1)})
+    shapes = _shapes(pats)
+    for k in range(8):
+        assert _table(k, shapes) == ref_packed(k, shapes), k
+    assert sum(len(row) > 2 for row in _table(7, shapes)[0]) == 35
+    assert count_avoiders(7, pats) == 2237  # as the containment scan counts
 
 
 def test_a_rising_row_clears_its_whole_interval_and_revives_no_site():
     # One three-entry row, positions 0 < 1 < 2, whose mask spans sites 1-3; site 2 is dead.
-    table = ([], [], [], 0, [(0b01110, (0, 1), (1, 2))])
+    table = ({(0, 1, 2): 0b01110}, 0)
     assert _live((1, 2, 3, 4), _reads(table), 0b11011) == 0b10001
     # Values that do not rise leave the live sites as they were.
     assert _live((2, 1, 3, 4), _reads(table), 0b11011) == 0b11011
+    # Beside one pair row, which its getters read after the two (0, 0) pairs.
+    table = ({(0, 1, 2): 0b01110, (3, 0): 0b10000}, 0b00001)
+    assert _live((1, 2, 3, 4), _reads(table), 0b11011) == 0b10000
+    assert _live((3, 1, 4, 2), _reads(table), 0b11011) == 0b01010
 
 
-# The node test as it was before its positions were read through getters, kept verbatim as
-# the reference: one interpreted call per position, on the table as _table builds it.
+# The node test without getters, as the reference: one interpreted call per position, on the
+# table in _table's form.
 def ref_live(get, table, sites):
-    firsts, seconds, masks, always, rows = table
-    rises = compress(masks, map(lt, map(get, firsts), map(get, seconds)))
-    live = sites & ~(always | reduce(or_, rises, 0))
-    for mask, a, b in rows:
-        if live & mask and all(map(lt, map(get, a), map(get, b))):
+    rows, always = table
+    live = sites & ~always
+    for row, mask in rows.items():
+        if all(map(lt, map(get, row[:-1]), map(get, row[1:]))):
             live &= ~mask
     return live
 
 
 @pytest.mark.parametrize("patterns", WALKED_SETS, ids=map(_patterns_id, WALKED_SETS))
 def test_getter_reads_match_the_per_position_node_test(patterns):
-    # Every (k, q) with k <= 8, on tables of no pair (DEFAULT_PATTERNS at (6, 4)), one pair
-    # (at (6, 3)) and more, against seeded permutations of [k] and site masks.
+    # Every (k, q) with k <= 8, on one node's tables of no pair (DEFAULT_PATTERNS at (6, 4)),
+    # one pair (at (6, 3)) and more, against seeded permutations of [k] and site masks.
     shapes = _shapes(frozenset(rank_signature(p) for p in patterns))
     rng = random.Random(13)
     for k in range(1, 9):
         for q in range(k):
-            table = _table(k, [q], shapes)
+            table = _merged(ref_table(k, q, shapes))
             reads = _reads(table)
             for _ in range(12):
                 perm = rng.sample(range(1, k + 1), k)
@@ -385,25 +398,27 @@ def test_getter_reads_match_the_per_position_node_test(patterns):
 @pytest.mark.parametrize("patterns", TABLE_SETS, ids=map(_patterns_id, TABLE_SETS))
 def test_packed_children_match_each_childs_own_table(patterns):
     # At every avoider of [k], k <= 7, one pass on the parent tests all k + 1 children, every
-    # site of each: child s's k + 2 bits are what its own table gives on the child itself.
+    # site of each: child s's k + 2 bits are what its own table gives on the child itself and,
+    # for children of up to 6 entries, mark site t dead exactly when a new maximum at t
+    # completes an occurrence through k + 1, as the occurrence search finds it.
     pats = frozenset(rank_signature(p) for p in patterns)
     shapes, chains = _shapes(pats), ref_shapes(pats)
-    level = [(1,)]
-    for k in range(1, 8):
+    level = {(): 1}  # each avoider of [k] with its live sites for k + 1
+    for k in range(8):
         full = (1 << k + 2) - 1
         reads, sites = _children(k, pats), sum(full << s * (k + 2) for s in range(k + 1))
-        tables = [_reads(_table(k + 1, [s], shapes)) for s in range(k + 1)]
-        for perm in level:
-            packed = _live(perm, reads, sites)
+        tables = [_reads(_merged(ref_table(k + 1, s, shapes))) for s in range(k + 1)]
+        after = {}
+        for perm, live in level.items():
+            packed = _live(perm or (1,), reads, sites)  # level 0 reads only its (0, 0) pairs
             for s in range(k + 1):
-                child = perm[:s] + (k + 1,) + perm[s:]
-                assert packed >> s * (k + 2) & full == _live(child, tables[s], full), (perm, s)
-        level = [
-            perm[:t] + (k + 1,) + perm[t:]
-            for perm in level
-            for t in range(k + 1)
-            if not ref_completes(perm, perm.index(k), t, chains)
-        ]
+                child, field = perm[:s] + (k + 1,) + perm[s:], packed >> s * (k + 2) & full
+                assert field == _live(child, tables[s], full), (perm, s)
+                for t in range(k + 2 if k < 6 else 0):
+                    assert (not field >> t & 1) == ref_completes(child, s, t, chains), (child, t)
+                if live >> s & 1:
+                    after[child] = field
+        level = after
 
 
 # The sites a child inherits, one at a time: child s (k + 1 at the parent's live site s) has
@@ -426,12 +441,11 @@ def test_spread_matches_the_site_by_site_inheritance():
 
 def _children_live(perm, live, reads):
     # Each child of perm, an avoider of [k] whose live sites for k + 1 are `live`, with its live
-    # sites, from one packed pass: live site s splits in two, and sites from s move up.
+    # sites, from one packed pass.
     k = len(perm)
-    width, at = k + 2, [s for s in range(k + 1) if live >> s & 1]
-    sites = sum((live & (2 << s) - 1 | live >> s << s + 1) << s * width for s in at)
-    packed = _live(perm, reads, sites)
-    return {perm[:s] + (k + 1,) + perm[s:]: packed >> s * width & (1 << width) - 1 for s in at}
+    packed = _live(perm, reads, _spread(k, live))
+    at = [s for s in range(k + 1) if live >> s & 1]
+    return {perm[:s] + (k + 1,) + perm[s:]: packed >> s * (k + 2) & (1 << k + 2) - 1 for s in at}
 
 
 def _west_children(label):
@@ -450,8 +464,7 @@ def test_default_tree_follows_wests_three_label_rule():
     from [1] = (2, 2, 0) is empirical: no proof is written down.  It is checked here at
     every node up to [8], so on labels read from the packed walk up to [9].
     """
-    shapes = _shapes(frozenset(DEFAULT_PATTERNS))
-    level = {(1,): _live((1,), _reads(_table(1, [0], shapes)), 0b11)}
+    level = {(1,): _live((1,), _children(0, frozenset(DEFAULT_PATTERNS)), 0b11)}
     labels, kids = {}, {}
     for k in range(1, 10):
         reads, after = _children(k, frozenset(DEFAULT_PATTERNS)), {}
@@ -472,7 +485,7 @@ def test_default_tree_follows_wests_three_label_rule():
 
 def test_default_tables_have_no_pair_and_one_pair_at_length_six():
     shapes = _shapes(frozenset(DEFAULT_PATTERNS))
-    assert [len(_table(6, [q], shapes)[0]) for q in (4, 3)] == [0, 1]
+    assert [len(ref_table(6, q, shapes)[0]) for q in (4, 3)] == [0, 1]
 
 
 def test_count_avoiders_matches_the_occurrence_search_at_the_bound():
