@@ -262,6 +262,25 @@ def test_count_avoiders_matches_the_occurrence_search(patterns):
 WALKED_SETS = [pats for pats in REFERENCE_SETS if pats and min(map(len, pats)) >= 2]
 
 
+@pytest.mark.parametrize("patterns", WALKED_SETS, ids=map(_patterns_id, WALKED_SETS))
+def test_dead_sites_match_the_occurrence_search_node_by_node(patterns):
+    # At every avoider of [k], k <= 6, with k at q, the packed table of its parent's children
+    # marks site t of child q dead exactly when a new maximum at t completes an occurrence
+    # through k: the pair masks, the always-dead mask and the longer rows, one node at a time.
+    pats = frozenset(rank_signature(p) for p in patterns)
+    shapes, chains = _shapes(pats), ref_shapes(pats)
+    for k in range(1, 7):
+        reads = _reads(_table(k - 1, shapes))
+        for perm in itertools.permutations(range(1, k + 1)):
+            if any(contains_pattern(perm, p) for p in pats):
+                continue
+            q = perm.index(k)
+            parent = perm[:q] + perm[q + 1 :] or (1,)  # level 0 reads only its (0, 0) pairs
+            live = _live(parent, reads, (1 << k * (k + 1)) - 1) >> q * (k + 1)
+            for t in range(k + 1):
+                assert (not live >> t & 1) == ref_completes(perm, q, t, chains), (perm, t)
+
+
 MIXED_LENGTH_SETS = _random_pattern_sets(20, seed=11, sizes=(1, 3), lengths=(2, 5))
 
 
@@ -398,11 +417,9 @@ def test_getter_reads_match_the_per_position_node_test(patterns):
 @pytest.mark.parametrize("patterns", TABLE_SETS, ids=map(_patterns_id, TABLE_SETS))
 def test_packed_children_match_each_childs_own_table(patterns):
     # At every avoider of [k], k <= 7, one pass on the parent tests all k + 1 children, every
-    # site of each: child s's k + 2 bits are what its own table gives on the child itself and,
-    # for children of up to 6 entries, mark site t dead exactly when a new maximum at t
-    # completes an occurrence through k + 1, as the occurrence search finds it.
+    # site of each: child s's k + 2 bits are what its own table gives on the child itself.
     pats = frozenset(rank_signature(p) for p in patterns)
-    shapes, chains = _shapes(pats), ref_shapes(pats)
+    shapes = _shapes(pats)
     level = {(): 1}  # each avoider of [k] with its live sites for k + 1
     for k in range(8):
         full = (1 << k + 2) - 1
@@ -414,8 +431,6 @@ def test_packed_children_match_each_childs_own_table(patterns):
             for s in range(k + 1):
                 child, field = perm[:s] + (k + 1,) + perm[s:], packed >> s * (k + 2) & full
                 assert field == _live(child, tables[s], full), (perm, s)
-                for t in range(k + 2 if k < 6 else 0):
-                    assert (not field >> t & 1) == ref_completes(child, s, t, chains), (child, t)
                 if live >> s & 1:
                     after[child] = field
         level = after
