@@ -182,6 +182,11 @@ for argv in "map --path F" "unmap --path UUDUDD"; do
   printf '%s\n' "$err" | grep -q '^error:'
   if printf '%s\n' "$err" | grep -q Traceback; then exit 1; fi
 done
+# A path byte that is not UTF-8 reaches the alphabet check as a lone surrogate: one error line.
+rc=0
+err="$(python -m pathbij.cli map --path $'UD\xff' 2>&1 > /dev/null)" || rc=$?
+test "$rc" = 2
+test "$err" = "error: invalid step character '\udcff' at position 2"
 # The one domain error: a word outside the map's class exits 2, traced or not, with the
 # NotInClass line on stderr and nothing on stdout.
 for pin in "map --path UFFD:input is not a grand Schroeder path with all flatsteps on y=2" \

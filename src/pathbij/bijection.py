@@ -47,10 +47,10 @@ from .paths import (
     FLAT,
     MIRROR,
     PEAK,
-    RISE_BYTES,
     UP,
     Path,
     PathbijError,
+    _rises,
     class_a_word,
     class_b_word,
     split_components,
@@ -172,8 +172,7 @@ def _reverse_interchange(d: str, ann: dict) -> tuple[str, dict]:
     # accumulated lazily from w's height (d is flat-free, so 2 * ups - w), are
     # read no further than z.
     w = ann["w"]
-    rises = memoryview(d.encode().translate(RISE_BYTES)).cast("b")[w:]
-    z = w + indexOf(accumulate(rises, initial=2 * d.count(UP, 0, w) - w), 0)
+    z = w + indexOf(accumulate(_rises(d)[w:], initial=2 * d.count(UP, 0, w) - w), 0)
     return d[w:z] + d[:w] + d[z:], {}
 
 

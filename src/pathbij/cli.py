@@ -32,6 +32,7 @@ from .paths import (
     FLAT,
     PEAK,
     UP,
+    InvalidCharacter,
     PathbijError,
     class_a_word,
     class_b_word,
@@ -171,7 +172,7 @@ def _component_problems(c: str, n: int, q: str | None, back: str | None) -> list
             return [f"size changed: {c} -> {q}"]
         try:
             q_hs = step_heights(q)
-        except KeyError:
+        except InvalidCharacter:
             return [f"image has a step outside U/F/D: {c} -> {q}"]
         if q_hs[-1] != 0 or q_hs.count(0) != 2:
             return [f"component sizes changed: {c} -> {q}"]
@@ -193,7 +194,7 @@ def _joined_test(words: list[str], n: int, member: Callable[..., bool]) -> list[
     joined, lens = "".join(words), list(map(len, words))
     try:
         hs = step_heights(joined)
-    except KeyError:  # a character outside U/F/D
+    except InvalidCharacter:
         return None
     ends = list(accumulate(lens))
     # A word that ends on ground has as many U as D, so its size is n iff len + #F = 2n.
@@ -308,12 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_perms(args: argparse.Namespace) -> int:
-    try:
-        patterns = parse_patterns(args.patterns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(count_avoiders(args.n, patterns))
+    print(count_avoiders(args.n, parse_patterns(args.patterns)))
     return 0
 
 

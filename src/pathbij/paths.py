@@ -8,7 +8,8 @@ is its number of upsteps plus its number of flatsteps, so a size-n path that
 returns to ground level spans 2n half-unit columns.
 
 Vertex indices are 0-based positions into the height profile (one more vertex
-than steps).  All operations are pure functions on immutable values.
+than steps).  All operations are pure functions on immutable values.  One function
+checks the alphabet for all of them, raising ``InvalidCharacter`` outside U/F/D.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ UP: Step = "U"
 FLAT: Step = "F"
 DOWN: Step = "D"
 
-_RISE = {UP: 1, FLAT: 0, DOWN: -1}
 # Byte -> its step's rise as a signed byte; every other byte -> 0x80, which no rise takes.
-RISE_BYTES = bytes(_RISE.get(chr(b), -128) & 0xFF for b in range(256))
+_RISE_BYTES = bytes({UP: 1, FLAT: 0, DOWN: -1}.get(chr(b), -128) & 0xFF for b in range(256))
 
 PEAK = UP + DOWN  # a peak is a UD factor
 MIRROR = str.maketrans(UP + DOWN, DOWN + UP)
@@ -49,16 +49,18 @@ class NotGroundTerminated(PathbijError):
     """An operation needing a ground-terminated path got one ending off ground."""
 
 
-def step_heights(steps: str) -> list[int]:
-    """Vertex heights of a step word, starting at 0: one more entry than steps.
+def _rises(steps: str) -> memoryview:
+    """Each step's rise as a signed byte; ``InvalidCharacter`` at the first one outside U/F/D."""
+    # surrogatepass encodes a lone surrogate, as any non-ASCII character, to bytes >= 0x80.
+    rises = steps.encode("utf-8", "surrogatepass").translate(_RISE_BYTES)
+    if 0x80 in rises:  # each byte before the first 0x80 is one U, F or D character
+        raise InvalidCharacter(steps[i := rises.find(0x80)], i)
+    return memoryview(rises).cast("b")
 
-    Raises ``KeyError`` naming the first character outside U/F/D.
-    """
-    # surrogatepass: a lone surrogate encodes to bytes >= 0x80 instead of raising.
-    rises = steps.encode("utf-8", "surrogatepass").translate(RISE_BYTES)
-    if 0x80 in rises:  # every byte of a non-ASCII character is >= 0x80, so maps there too
-        raise KeyError(next(c for c in steps if c not in _RISE))
-    return [0, *accumulate(memoryview(rises).cast("b"))]
+
+def step_heights(steps: str) -> list[int]:
+    """Vertex heights of a step word from 0, one more than steps; checked as a ``Path`` is."""
+    return [0, *accumulate(_rises(steps))]
 
 
 def split_components(steps: str, heights: Sequence[int]) -> list[tuple[int, str]]:
@@ -82,11 +84,8 @@ class Path:
     steps: str = ""
 
     def __post_init__(self) -> None:
-        steps = self.steps
-        if not steps.isascii() or steps.encode().translate(None, b"UFD"):
-            for i, c in enumerate(steps):
-                if c not in _RISE:
-                    raise InvalidCharacter(c, i)
+        if not self.steps.isascii() or self.steps.encode().translate(None, b"UFD"):
+            _rises(self.steps)  # raises InvalidCharacter at the first step outside U/F/D
 
     @cached_property
     def heights(self) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ of positions of all of a parent's children in its coordinates, each row once,
 with the sites its rise kills: one pass of comparisons on the parent gives every
 child's live sites, and the avoiders of [m - 1] are counted from them, never
 built.  A process keeps each length's table, keyed by the pattern set too, in a
-cache of ``MAX_EXHAUSTIVE`` tables, and spreads each live-site mask once.
+cache of ``MAX_EXHAUSTIVE`` tables, and spreads each live-site mask once.  A bad
+pattern raises ``InvalidPattern``, which is a ``PathbijError`` and a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ class SizeTooLarge(PathbijError):
     """Exhaustive counting was asked for more than ``MAX_EXHAUSTIVE`` elements."""
 
 
+class InvalidPattern(PathbijError, ValueError):
+    """A pattern is not a digit string, not a permutation, or repeats a value."""
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse a digit string like ``"3241"`` into one-line notation."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a digit string")
+        raise InvalidPattern(f"{text!r} is not a digit string")
     values = tuple(int(ch) for ch in text)
     if sorted(values) != list(range(1, len(values) + 1)):
-        raise ValueError(f"{text!r} is not a permutation of 1..{len(values)}")
+        raise InvalidPattern(f"{text!r} is not a permutation of 1..{len(values)}")
     return values
 
 
@@ -152,7 +157,7 @@ def count_avoiders(m: int, patterns: Iterable[Sequence[int]] = DEFAULT_PATTERNS)
         raise SizeTooLarge(f"m={m} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
     patterns = [tuple(p) for p in patterns]
     if repeated := next((p for p in patterns if len(set(p)) < len(p)), None):
-        raise ValueError(f"pattern {repeated} repeats a value")
+        raise InvalidPattern(f"pattern {repeated} repeats a value")
     pats = frozenset(map(rank_signature, patterns))
     if not pats:
         return math.factorial(m)

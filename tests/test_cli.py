@@ -1169,6 +1169,46 @@ def test_closed_output_pipe_exits_one_without_a_traceback():
     assert err == b""
 
 
+BAD_PATHS = [
+    ("UXD", "'X' at position 1"),
+    ("UD\u00e9", "'\u00e9' at position 2"),
+    # Not UTF-8: Python decodes the argv byte 0xff to the lone surrogate U+DCFF.
+    (b"UD\xff", "'\\udcff' at position 2"),
+]
+PATH_VERBS = [["map"], ["map", "--trace"], ["unmap"], ["unmap", "--trace"], ["render"]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            [*verb, "--path", path],
+            f"invalid step character {where}",
+            id=f"{'-'.join(verb)}-{path!r}",
+        )
+        for verb in PATH_VERBS
+        for path, where in BAD_PATHS
+    ]
+    + [
+        pytest.param(["perms", "--n", "4", "--patterns", text], message, id=f"perms-{text}")
+        for text, message in [
+            ("12,xy", "'xy' is not a digit string"),
+            ("112", "'112' is not a permutation of 1..3"),
+            ("\u0663\u0662\u0661", "'\u0663\u0662\u0661' is not a digit string"),
+        ]
+    ],
+)
+def test_bad_input_is_one_error_line_from_a_child_process(argv, message):
+    # The bytes a shell sees: exit 2, nothing on stdout, one error line on stderr.
+    path = [str(pathlib.Path(pathbij.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env["PYTHONIOENCODING"] = "utf-8"
+    argv = [sys.executable, "-m", "pathbij.cli", *argv]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -41,7 +41,15 @@ from pathbij.bijection import (
     map_word,
 )
 from pathbij.families import class_a_words, class_b_words
-from pathbij.paths import MIRROR, class_a_word, class_b_word, split_components, step_heights
+from pathbij.paths import (
+    MIRROR,
+    InvalidCharacter,
+    Path,
+    class_a_word,
+    class_b_word,
+    split_components,
+    step_heights,
+)
 
 
 def ref_step_heights(steps):
@@ -416,11 +424,16 @@ def test_step_heights_matches_the_reference_on_every_short_word():
     ("U\ud800D", "\ud800"), ("UFDUUDZ\u00e9", "Z"),
 ])
 def test_step_heights_names_the_first_bad_character(word, bad):
-    # A lone surrogate has no UTF-8 encoding; it must still give the KeyError.
-    for f in (step_heights, ref_step_heights):
-        with pytest.raises(KeyError) as exc:
+    # The reference's dict lookup names the character; step_heights and Path report it, and
+    # its position, through the one alphabet check.  A lone surrogate has no UTF-8 encoding,
+    # and must still give the InvalidCharacter.
+    with pytest.raises(KeyError) as ref:
+        ref_step_heights(word)
+    assert ref.value.args == (bad,)
+    for f in (step_heights, Path):
+        with pytest.raises(InvalidCharacter) as exc:
             f(word)
-        assert exc.value.args == (bad,)
+        assert (exc.value.char, exc.value.position) == (bad, word.index(bad))
 
 
 def _dyck(rng, k):

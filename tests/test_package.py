@@ -51,12 +51,14 @@ PUBLIC_NAMES = [
 
 # Path-object helpers whose work the word-level functions do, the b-file records that
 # wrapped a dict and a match count, the inverse kernels' domain error, which nothing
-# raised once class membership was checked where the word enters, and the trace record
-# API, whose values trace_blocks formats straight from _run.
+# raised once class membership was checked where the word enters, the trace record
+# API, whose values trace_blocks formats straight from _run, and the public rise table,
+# which only the one alphabet check in pathbij.paths reads.
 RETIRED_NAMES = [
     "ComparisonReport",
     "InverseDomainError",
     "Mismatch",
+    "RISE_BYTES",
     "SequenceTable",
     "Stage",
     "count_class_a",

@@ -11,6 +11,7 @@ import pytest
 
 from pathbij import (
     DEFAULT_PATTERNS,
+    PathbijError,
     SizeTooLarge,
     contains_pattern,
     count_avoiders,
@@ -37,6 +38,24 @@ def test_parse_permutation():
         parse_permutation("3242")
     with pytest.raises(ValueError):
         parse_permutation("1a3")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_permutation("1a3"), "'1a3' is not a digit string"),
+        (lambda: parse_permutation("3242"), "'3242' is not a permutation of 1..4"),
+        (lambda: count_avoiders(4, [(1, 1)]), "pattern (1, 1) repeats a value"),
+    ],
+    ids=["not-digits", "not-a-permutation", "repeated-value"],
+)
+def test_a_bad_pattern_is_one_domain_error_and_a_value_error(call, message):
+    # One error for a bad pattern: the CLI's PathbijError handler prints it, and callers
+    # that catch ValueError still do.
+    with pytest.raises(PathbijError) as error:
+        call()
+    assert isinstance(error.value, ValueError)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("text", ["\u0661", "\u0663\u0662\u0664\u0661", "\u00b2"])
